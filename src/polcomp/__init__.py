@@ -24,7 +24,6 @@ from .compensation import (
     CompensatorState,
     LoopConfig,
     RetardanceTriple,
-    SolverFailureError,
     StepRecord,
     infer_disturbed,
     qber_opt,
@@ -127,7 +126,6 @@ __all__ = [
     "CompensatorState",
     "LoopConfig",
     "RetardanceTriple",
-    "SolverFailureError",
     "StepRecord",
     "infer_disturbed",
     "qber_opt",

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compensation import CompensationRun, LoopConfig, run_compensation
+from .compensation import _STACK_ANGLES, CompensationRun, LoopConfig, run_compensation
 from .lcvr import CharacterizationSweep, RetardanceCurve, retardance_for_voltage
 from .polarimetry import measure_stokes, simulate_scan
 from .stokes import (
@@ -52,9 +52,6 @@ __all__ = [
 
 DEFAULT_SCAN_SAMPLES = 310
 DEFAULT_SCAN_STEP = 2.0 * math.pi / DEFAULT_SCAN_SAMPLES
-
-#: Stack orientations, radians from horizontal.
-_STACK_ANGLES = (0.0, math.pi / 4.0, 0.0, math.pi / 4.0)
 
 #: Seed-stream tags, so the same integer seed never feeds two different
 #: consumers the same bits.
@@ -366,8 +363,8 @@ def run_trials(
 ) -> TrialStats:
     """Compensate ``n_trials`` independent random disturbances.
 
-    Trial ``i`` derives all of its randomness (disturbance, measurement
-    noise, solver starts) from ``SeedSequence([base_seed, i])``.  Means
+    Trial ``i`` derives all of its randomness (disturbance and measurement
+    noise) from ``SeedSequence([base_seed, i])``.  Means
     are taken over the trials that reached each fidelity level.
     """
     if n_trials < 1:

@@ -132,7 +132,7 @@ def _add_loop_options(sub: argparse.ArgumentParser) -> None:
                      help="cap both the coarse and fine step budgets")
     sub.add_argument("--noise-preset", choices=("none", "lab"), default="none",
                      help="virtual bench imperfection budget (default: none)")
-    sub.add_argument("--seed", type=int, default=0, help="measurement/solver seed")
+    sub.add_argument("--seed", type=int, default=0, help="measurement seed")
 
 
 def cmd_characterize(args: argparse.Namespace, argv: list[str]) -> int:
@@ -155,7 +155,7 @@ def cmd_characterize(args: argparse.Namespace, argv: list[str]) -> int:
 def cmd_tomography(args: argparse.Namespace, argv: list[str]) -> int:
     root = Path(args.path)
     if root.is_dir():
-        files = sorted(p for p in root.glob("*.csv") if not p.name.endswith(".manifest.csv"))
+        files = sorted(root.glob("*.csv"))
         if not files:
             raise FileFormatError(f"{root}: no scan CSV files found")
     else:

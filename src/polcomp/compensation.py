@@ -10,14 +10,14 @@ threshold, a fine phase hill-climbs the drive voltages one cell at a
 time in small steps until the fine threshold (or the step budget) is
 reached.
 
-The retardance solve is a damped Gauss-Newton (Levenberg-style) descent
-on the three-component residual ``R(d) @ u - t`` with an analytic
-Jacobian, restarted from uniformly drawn initial guesses until one
-converges.  Solutions are wrapped into the physical actuation window
-``[0.2*pi, 2.2*pi)`` and, when calibration curves are at hand, the
-candidate whose drive voltages sit on the shallowest parts of the
-curves is preferred (less retardance error per volt of actuation
-noise).
+The retardance solve is closed-form.  The 0/45/0 stack turns the
+sphere about S1, then S2, then S1: an Euler-angle chart of SO(3), so the
+exact solutions form a family with one free angle.  The family is
+enumerated on a fixed grid of that angle, each row is shifted by whole
+waves into what its cells' calibration curves reach, and the reachable
+row on the steepest parts of the curves is actuated, where the fine
+phase's fixed voltage nudge still moves retardance.  The loop draws no
+random numbers of its own.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .stokes import (
 )
 
 __all__ = [
-    "SolverFailureError",
     "RETARDANCE_WINDOW",
     "RetardanceTriple",
     "LoopConfig",
@@ -68,6 +67,10 @@ REPORT_LEVELS = (0.97, 0.99, 0.995)
 #: Orientations of the retarder stack, radians from horizontal.
 _STACK_ANGLES = (0.0, math.pi / 4.0, 0.0, math.pi / 4.0)
 
+#: First-cell retardances at which the solution family is enumerated;
+#: each yields two exact rows.
+_FAMILY_GRID = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+
 #: Weight pulling the fine-tune acceptance baseline toward a losing
 #: reading, so a lucky high one cannot freeze the climb (0 = never
 #: relax, 1 = baseline is always the latest reading).
@@ -75,10 +78,6 @@ _BASELINE_RELAXATION = 0.3
 
 MeasurementProvider = Callable[[Sequence[float]], NormalizedStokes]
 """Applies the given drive voltages and returns one measured state."""
-
-
-class SolverFailureError(RuntimeError):
-    """No multistart converged to the requested residual tolerance."""
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,6 @@ class LoopConfig:
     max_coarse_steps: int = 25
     max_fine_steps: int = 150
     fine_step_v: float = 0.02  # 2x the usual 0.01 V curve granularity
-    multistart_count: int = 8
-    solver_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (0.0 < self.coarse_threshold < self.fine_threshold < 1.0):
@@ -119,10 +116,6 @@ class LoopConfig:
             raise ValueError("step budgets must allow at least the coarse phase")
         if not (self.fine_step_v > 0.0):
             raise ValueError(f"fine_step_v must be positive, got {self.fine_step_v!r}")
-        if self.multistart_count < 1:
-            raise ValueError("multistart_count must be at least 1")
-        if not (0.0 < self.solver_tolerance < 1e-2):
-            raise ValueError(f"unreasonable solver tolerance {self.solver_tolerance!r}")
 
 
 def shift_to_range(d: float) -> float:
@@ -130,8 +123,11 @@ def shift_to_range(d: float) -> float:
     d = float(d)
     if not math.isfinite(d):
         raise ValueError(f"retardance must be finite, got {d!r}")
-    lo, _ = RETARDANCE_WINDOW
-    return d - 2.0 * math.pi * math.floor((d - lo) / (2.0 * math.pi))
+    lo, hi = RETARDANCE_WINDOW
+    # A remainder within an ulp of a whole wave rounds up to ``hi``, which
+    # is the same retardance as ``lo``.
+    out = lo + (d - lo) % (2.0 * math.pi)
+    return out if out < hi else lo
 
 
 def infer_disturbed(s_meas: NormalizedStokes, current: RetardanceTriple) -> NormalizedStokes:
@@ -140,118 +136,83 @@ def infer_disturbed(s_meas: NormalizedStokes, current: RetardanceTriple) -> Norm
     return transform_normalized(m_inv, s_meas)
 
 
-def _rotated_and_jacobian(d: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``R(d) @ u`` and its 3x3 Jacobian w.r.t. the three retardances."""
-    c1, s1 = math.cos(d[0]), math.sin(d[0])
-    c2, s2 = math.cos(d[1]), math.sin(d[1])
-    c3, s3 = math.cos(d[2]), math.sin(d[2])
+def _solution_family(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Every exact ``(d1, d2, d3)`` on the free-angle grid, shape ``(2N, 3)``.
+
+    Cell 1 turns ``u`` about S1 by ``d1`` into ``(u1, a2, a3)``.  Cell 2
+    turns the ``(S1, S3)`` part, of length ``R = hypot(u1, a3)``, about S2
+    and must bring S1 to ``t1``: that leaves two heights ``b3 = +-w``, so
+    ``d2 = +-acos(t1/R) - atan2(a3, u1)``.  Cell 3 then turns ``(a2, b3)``
+    about S1 onto ``(t2, t3)``: ``d3 = atan2(b3, a2) - atan2(t3, t2)``.
+    ``w`` is ``sqrt(R^2 - t1^2)`` or, equally, ``sqrt(t2^2 + t3^2 - a2^2)``;
+    the form used is the one whose leftover rounding of the two unit
+    norms lands on the longer of ``R`` and ``|(t2, t3)|``, so it stays at
+    the last ulp near the poles and the equator alike.
+
+    Every ``d1`` admits a solution when ``|t1| <= |u1|``, equivalently
+    ``|(t2, t3)| >= |(u2, u3)|``.  Otherwise (for instance targets H and V)
+    the inverse problem ``t -> u`` is solved instead; its rows, reversed
+    and negated, are rows of this one.  Comparing ``min(u1^2, |t_perp|^2)``
+    with ``min(t1^2, |u_perp|^2)`` makes that choice agree with both tests
+    wherever rounding could make them disagree.
+    """
     u1, u2, u3 = u
-
-    # Intermediate states: after cell 1, then cell 2 (closed forms of the
-    # 0/45/0 rotation chain; avoids building matrices in the hot loop).
-    a2 = c1 * u2 + s1 * u3
-    a3 = -s1 * u2 + c1 * u3
-    b1 = c2 * u1 - s2 * a3
-    b3 = s2 * u1 + c2 * a3
-    f = np.array([b1, c3 * a2 + s3 * b3, -s3 * a2 + c3 * b3])
-
-    # d/dd1 through the chain.
-    da2 = -s1 * u2 + c1 * u3
-    da3 = -c1 * u2 - s1 * u3
-    col1 = np.array([-s2 * da3, c3 * da2 + s3 * c2 * da3, -s3 * da2 + c3 * c2 * da3])
-    # d/dd2.
-    db1 = -s2 * u1 - c2 * a3
-    db3 = c2 * u1 - s2 * a3
-    col2 = np.array([db1, s3 * db3, c3 * db3])
-    # d/dd3.
-    col3 = np.array([0.0, -s3 * a2 + c3 * b3, -c3 * a2 - s3 * b3])
-    return f, np.column_stack([col1, col2, col3])
-
-
-def _damped_gauss_newton(
-    u: np.ndarray, t: np.ndarray, x0: np.ndarray, tol: float, max_iter: int = 120
-) -> tuple[np.ndarray, float]:
-    x = np.array(x0, dtype=float)
-    lam = 1e-3
-    f, jac = _rotated_and_jacobian(x, u)
-    r = f - t
-    cost = float(r @ r)
-    eye = np.eye(3)
-    for _ in range(max_iter):
-        if math.sqrt(cost) <= tol:
-            break
-        g = jac.T @ r
-        h = jac.T @ jac
-        improved = False
-        for _ in range(40):
-            try:
-                dx = np.linalg.solve(h + lam * eye, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            xt = x + dx
-            ft, jt = _rotated_and_jacobian(xt, u)
-            rt = ft - t
-            ct = float(rt @ rt)
-            if ct < cost:
-                x, r, jac, cost = xt, rt, jt, ct
-                lam = max(lam / 3.0, 1e-14)
-                improved = True
-                break
-            lam *= 5.0
-            if lam > 1e12:
-                return x, math.sqrt(cost)
-        if not improved:
-            break
-    return x, math.sqrt(cost)
+    t1, t2, t3 = t
+    perp_sq = t2 * t2 + t3 * t3
+    if min(u1 * u1, perp_sq) < min(t1 * t1, u2 * u2 + u3 * u3):
+        return -_solution_family(t, u)[:, ::-1]
+    d1 = _FAMILY_GRID
+    a2 = np.cos(d1) * u2 + np.sin(d1) * u3
+    a3 = -np.sin(d1) * u2 + np.cos(d1) * u3
+    r_sq = u1 * u1 + a3 * a3
+    w_sq = np.where(r_sq > perp_sq, perp_sq - a2 * a2, r_sq - t1 * t1)
+    w = np.sqrt(np.maximum(w_sq, 0.0))
+    b3 = np.concatenate((w, -w))
+    a2, a3 = np.tile(a2, 2), np.tile(a3, 2)
+    d2 = np.arctan2(b3, t1) - np.arctan2(a3, u1)
+    d3 = np.arctan2(b3, a2) - math.atan2(t3, t2)
+    return np.column_stack((np.tile(d1, 2), d2, d3))
 
 
 def solve_retardances(
     s_dis: NormalizedStokes,
     s_target: NormalizedStokes,
-    config: LoopConfig,
     curves: Sequence[RetardanceCurve] | None = None,
-    rng: np.random.Generator | None = None,
 ) -> RetardanceTriple:
     """Retardances that rotate ``s_dis`` onto ``s_target`` through the stack.
 
-    Multistart damped Gauss-Newton; initial guesses are drawn uniformly
-    from ``[0, 2*pi)^3``.  Every returned component is wrapped into the
-    physical window.  With ``curves`` given, the converged candidate whose
-    mapped drive voltages sit on the shallowest curve regions wins;
-    otherwise the smallest-residual candidate does.
-
-    Raises
-    ------
-    SolverFailureError
-        If none of ``config.multistart_count`` starts reaches
-        ``config.solver_tolerance``.
+    Every row of the closed-form family is exact.  Without ``curves`` the
+    first row is returned, wrapped into :data:`RETARDANCE_WINDOW`.  With
+    them, each component is shifted by whole waves into the lowest wave
+    its own cell's curve reaches; among the rows that all three curves
+    reach, the one on the steepest summed curve slope wins.  A steep
+    region holds a short voltage interval per radian, so the fine phase's
+    fixed voltage nudge still moves retardance; the flat high-voltage tail
+    would stall it.  If no row is reachable, the one least outside the
+    spans is returned, and actuation clamps it.
     """
-    u = s_dis.as_array()
-    t = s_target.as_array()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    tol = config.solver_tolerance
-    candidates: list[tuple[float, RetardanceTriple]] = []
-    for _ in range(config.multistart_count):
-        x0 = rng.uniform(0.0, 2.0 * math.pi, 3)
-        x, res = _damped_gauss_newton(u, t, x0, tol)
-        if res <= tol:
-            candidates.append((res, RetardanceTriple(*x).shifted()))
-    if not candidates:
-        raise SolverFailureError(
-            f"no convergent start in {config.multistart_count} attempts "
-            f"(tolerance {tol:g})"
-        )
-    if curves is not None and len(curves) >= 3:
-        def steepness(item: tuple[float, RetardanceTriple]) -> float:
-            total = 0.0
-            for curve, d in zip(curves, item[1].as_tuple()):
-                total += curve_slope_at(curve, voltage_for_retardance(curve, d).voltage)
-            return total
-
-        return min(candidates, key=steepness)[1]
-    return min(candidates, key=lambda item: item[0])[1]
+    rows = _solution_family(s_dis.as_array(), s_target.as_array())
+    if curves is None:
+        return RetardanceTriple(*rows[0]).shifted()
+    cells = curves[:3]
+    lows = np.array([c.retardances.min() for c in cells])
+    highs = np.array([c.retardances.max() for c in cells])
+    two_pi = 2.0 * math.pi
+    rows = lows + np.mod(rows - lows, two_pi)
+    over = rows - highs
+    under = lows + two_pi - rows
+    # Past the top of a span: take whichever wave lies nearer to it.
+    rows = np.where(over > under, rows - two_pi, rows)
+    outside = np.maximum(np.minimum(over, under), 0.0).sum(axis=1)
+    reachable = outside == 0.0
+    if not reachable.any():
+        return RetardanceTriple(*rows[int(np.argmin(outside))].tolist())
+    steepness = sum(
+        curve_slope_at(c, voltage_for_retardance(c, rows[:, i]).voltage)
+        for i, c in enumerate(cells)
+    )
+    best = int(np.argmax(np.where(reachable, steepness, -np.inf)))
+    return RetardanceTriple(*rows[best].tolist())
 
 
 @dataclass
@@ -291,7 +252,6 @@ class CompensationRun:
     target: NormalizedStokes
     curves: list[RetardanceCurve]
     state: CompensatorState
-    rng: np.random.Generator
     steps: list[StepRecord] = field(default_factory=list)
     phase: str = "coarse"
     complete: bool = False
@@ -318,6 +278,11 @@ class CompensationRun:
         config: LoopConfig,
         seed: int = 0,
     ) -> "CompensationRun":
+        """Start a run at the identity-equivalent setting.
+
+        ``seed`` is accepted for call compatibility and unused: the loop
+        draws no random numbers of its own.
+        """
         curves = list(curves)
         if len(curves) not in (3, 4):
             raise ValueError(f"need 3 or 4 calibration curves, got {len(curves)}")
@@ -335,8 +300,7 @@ class CompensationRun:
             fourth_retardance=retardances[3] if len(curves) == 4 else None,
             voltages=tuple(voltages),
         )
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xC0A5]))
-        run = cls(config=config, target=target, curves=curves, state=state, rng=rng)
+        run = cls(config=config, target=target, curves=curves, state=state)
         run.fine_directions = [1] * len(curves)
         return run
 
@@ -395,11 +359,6 @@ def _actuate_triple(run: CompensationRun, triple: RetardanceTriple) -> None:
     )
 
 
-def _random_window_triple(rng: np.random.Generator) -> RetardanceTriple:
-    lo, hi = RETARDANCE_WINDOW
-    return RetardanceTriple(*rng.uniform(lo, hi, 3))
-
-
 def coarse_step(
     run: CompensationRun,
     measure: MeasurementProvider,
@@ -418,9 +377,7 @@ def coarse_step(
     state would only re-randomize it at the measurement-noise floor.
     Below the threshold, the cycle corrects: if the measurement
     regressed below the best coarse measurement so far, the best
-    settings are restored before the next inference.  A solver failure
-    falls back to a fresh random actuation (a randomized restart through
-    the hardware), which still costs the one recorded step.
+    settings are restored before the next inference.
     """
     stokes = measure(run.state.voltages)
     fid = fidelity(stokes, target)
@@ -451,11 +408,7 @@ def coarse_step(
     target_eff = target if m4_inv is None else transform_normalized(m4_inv, target)
     seen = stokes if m4_inv is None else transform_normalized(m4_inv, stokes)
     s_dis = infer_disturbed(seen, run.state.triple)
-    try:
-        solution = solve_retardances(s_dis, target_eff, config, curves=curves[:3], rng=run.rng)
-    except SolverFailureError:
-        solution = _random_window_triple(run.rng)
-    _actuate_triple(run, solution)
+    _actuate_triple(run, solve_retardances(s_dis, target_eff, curves=curves[:3]))
     return run
 
 
@@ -536,8 +489,10 @@ def run_compensation(
     ``apparatus`` is any callable that accepts the tuple of drive
     voltages and returns the measured :class:`NormalizedStokes` — a
     virtual bench in tests, real hardware in the lab.  Each call is one
-    step.  Determinism: the same apparatus behavior, curves, target,
-    config and seed reproduce the identical run transcript.
+    step.  Determinism: the same apparatus behavior, curves, target and
+    config reproduce the identical run transcript.  ``seed`` is accepted
+    for call compatibility and unused; the loop has no randomness of its
+    own.
     """
     if config is None:
         config = LoopConfig()

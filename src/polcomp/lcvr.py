@@ -148,12 +148,12 @@ class RetardanceCurve:
     def __len__(self) -> int:
         return int(self.drive_voltages.size)
 
-    def retardance_span(self) -> float:
-        return float(self.retardances.max() - self.retardances.min())
-
 
 class VoltageLookup(NamedTuple):
-    """Inverse-lookup result; ``clamped`` marks out-of-span targets."""
+    """Inverse-lookup result; ``clamped`` marks out-of-span targets.
+
+    Both fields are arrays when the lookup was given an array of targets.
+    """
 
     voltage: float
     clamped: bool
@@ -412,41 +412,64 @@ def retardance_for_voltage(curve: RetardanceCurve, voltage: float) -> float:
     return float(np.interp(voltage, curve.drive_voltages, curve.retardances))
 
 
-def voltage_for_retardance(curve: RetardanceCurve, target: float) -> VoltageLookup:
+def voltage_for_retardance(
+    curve: RetardanceCurve, target: float | np.ndarray
+) -> VoltageLookup:
     """Drive voltage whose interpolated retardance is nearest to ``target``.
 
-    Targets outside the curve span clamp to the corresponding endpoint
-    voltage and are flagged, never fatal: the caller decides whether a
-    clamped actuation is acceptable.
+    Accepts a scalar or an array of targets (the lookup then holds arrays).
+    The nearest knot is found in sorted-retardance order, so noisy,
+    non-monotone curves are handled; ties go to the lowest knot index.
+    The voltage is then refined within the knot interval, before or after
+    the nearest knot, that brackets the target.  Targets outside the
+    curve span clamp to the corresponding endpoint voltage and are
+    flagged, never fatal: the caller decides whether a clamped actuation
+    is acceptable.
     """
-    target = float(target)
-    if not math.isfinite(target):
+    t = np.asarray(target, dtype=float)
+    if not np.isfinite(t).all():
         raise ValueError(f"target retardance must be finite, got {target!r}")
     r = curve.retardances
     v = curve.drive_voltages
-    i_min = int(np.argmin(r))
-    i_max = int(np.argmax(r))
-    if target <= r[i_min]:
-        return VoltageLookup(float(v[i_min]), bool(target < r[i_min]))
-    if target >= r[i_max]:
-        return VoltageLookup(float(v[i_max]), bool(target > r[i_max]))
-    nearest = int(np.argmin(np.abs(r - target)))
-    # Refine within the knot interval that brackets the target.
-    for j in (nearest - 1, nearest + 1):
-        if 0 <= j < r.size and (r[nearest] - target) * (r[j] - target) <= 0.0:
-            lo, hi = sorted((nearest, j))
-            if r[hi] == r[lo]:
-                return VoltageLookup(float(v[lo]), False)
-            frac = (target - r[lo]) / (r[hi] - r[lo])
-            return VoltageLookup(float(v[lo] + frac * (v[hi] - v[lo])), False)
-    return VoltageLookup(float(v[nearest]), False)
+    n = r.size
+    order = np.argsort(r, kind="stable")
+    ranked = r[order]
+    # The nearest knot is one of the two sorted neighbours of the target,
+    # each taken as the lowest index of its run of equal retardances.
+    pos = np.searchsorted(ranked[1:-1], t) + 1  # in [1, n - 1]
+    below = order[np.searchsorted(ranked, ranked[pos - 1])]
+    above = order[pos]
+    gap_below = np.abs(r[below] - t)
+    gap_above = np.abs(r[above] - t)
+    take_below = (gap_below < gap_above) | ((gap_below == gap_above) & (below < above))
+    nearest = np.where(take_below, below, above)
+    # Refine within the knot interval, before or after it, that brackets
+    # the target (NaN padding rules out the intervals past either end).
+    offset = r[nearest] - t
+    padded = np.concatenate(([np.nan], r, [np.nan]))
+    use_prev = offset * (padded[nearest] - t) <= 0.0
+    bracketed = use_prev | (offset * (padded[nearest + 2] - t) <= 0.0)
+    lo = np.minimum(nearest - use_prev, n - 2)
+    rise = r[lo + 1] - r[lo]
+    frac = (t - r[lo]) / np.where(rise == 0.0, 1.0, rise)
+    # At or past either end of the span the nearest knot is that end.
+    on_edge = (t <= ranked[0]) | (t >= ranked[-1])
+    voltage = np.where(
+        bracketed & ~on_edge, v[lo] + frac * (v[lo + 1] - v[lo]), v[nearest]
+    )
+    clamped = (t < ranked[0]) | (t > ranked[-1])
+    if t.ndim == 0:
+        return VoltageLookup(float(voltage), bool(clamped))
+    return VoltageLookup(voltage, clamped)
 
 
-def curve_slope_at(curve: RetardanceCurve, voltage: float) -> float:
-    """Local |d(retardance)/d(voltage)| near a drive voltage."""
+def curve_slope_at(
+    curve: RetardanceCurve, voltage: float | np.ndarray
+) -> float | np.ndarray:
+    """Local |d(retardance)/d(voltage)| near a drive voltage (scalar or array)."""
     v = curve.drive_voltages
     r = curve.retardances
-    i = int(np.clip(np.searchsorted(v, float(voltage)), 1, v.size - 1))
-    lo = max(0, i - 1)
-    hi = min(v.size - 1, i + 1)
-    return abs(float((r[hi] - r[lo]) / (v[hi] - v[lo])))
+    i = np.searchsorted(v[1:-1], voltage) + 1  # in [1, n - 1]
+    hi = np.minimum(i + 1, v.size - 1)
+    slope = np.abs((r[hi] - r[i - 1]) / (v[hi] - v[i - 1]))
+    return float(slope) if slope.ndim == 0 else slope

@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .bench import NoiseModel
 
 __all__ = [
-    "ScanSample",
     "PolarimeterScan",
     "FourierCoefficients",
     "ideal_intensity",
@@ -49,13 +48,6 @@ MIN_SAMPLES = 16
 #: Slack factor (in units of the mean angular step) allowed on the
 #: full-revolution span check, to tolerate encoder jitter at the ends.
 _SPAN_SLACK_STEPS = 1.25
-
-
-class ScanSample(NamedTuple):
-    """One polarimeter sample: mount angle (rad) and detector voltage (V)."""
-
-    angle_measured: float
-    detector_voltage: float
 
 
 @dataclass
@@ -104,9 +96,6 @@ class PolarimeterScan:
 
     def __len__(self) -> int:
         return int(self.angles.size)
-
-    def samples(self) -> list[ScanSample]:
-        return [ScanSample(float(a), float(v)) for a, v in zip(self.angles, self.voltages)]
 
 
 @dataclass(frozen=True)

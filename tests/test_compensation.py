@@ -11,6 +11,7 @@ from polcomp.bench import (
     NoiseModel,
     VirtualApparatus,
     random_disturbance,
+    run_trials,
     synthetic_curve_set,
 )
 from polcomp.compensation import (
@@ -19,7 +20,7 @@ from polcomp.compensation import (
     CompensatorState,
     LoopConfig,
     RetardanceTriple,
-    SolverFailureError,
+    _solution_family,
     coarse_step,
     fine_tune_step,
     infer_disturbed,
@@ -29,7 +30,12 @@ from polcomp.compensation import (
     shift_to_range,
     solve_retardances,
 )
-from polcomp.lcvr import retardance_for_voltage
+from polcomp.lcvr import (
+    RetardanceCurve,
+    curve_slope_at,
+    retardance_for_voltage,
+    voltage_for_retardance,
+)
 from polcomp.stokes import (
     NormalizedStokes,
     cardinal_target,
@@ -44,6 +50,17 @@ LO, HI = RETARDANCE_WINDOW
 def _random_unit(rng):
     v = rng.normal(size=3)
     return NormalizedStokes(*(v / np.linalg.norm(v)))
+
+
+def _rescaled_curves(n, lo, hi):
+    """The synthetic set with each curve mapped linearly onto ``[lo, hi]``."""
+    out = []
+    for c in synthetic_curve_set(n):
+        r = c.retardances
+        scaled = lo + (hi - lo) * (r - r.min()) / (r.max() - r.min())
+        out.append(RetardanceCurve(c.drive_voltages, scaled, c.retardance_errors,
+                                   voltage_step=c.voltage_step))
+    return out
 
 
 # --- shift_to_range ----------------------------------------------------------
@@ -111,12 +128,12 @@ def _residual(triple, s_dis, s_target):
 
 def test_solve_identity_requirement():
     r = cardinal_target("R")
-    sol = solve_retardances(r, r, LoopConfig())
+    sol = solve_retardances(r, r)
     assert _residual(sol, r, r) <= 1e-9
 
 
 def test_solve_h_to_r():
-    sol = solve_retardances(cardinal_target("H"), cardinal_target("R"), LoopConfig())
+    sol = solve_retardances(cardinal_target("H"), cardinal_target("R"))
     assert _residual(sol, cardinal_target("H"), cardinal_target("R")) <= 1e-9
     for d in sol.as_tuple():
         assert LO <= d < HI
@@ -126,46 +143,70 @@ def test_solver_residual_oracle_random_pairs():
     # The only trusted check is the residual itself, evaluated through the
     # forward matrix — never through the solver's own bookkeeping.
     rng = np.random.default_rng(43)
-    config = LoopConfig()
-    solver_rng = np.random.default_rng(44)
+    curves = synthetic_curve_set(3)
     worst = 0.0
     for _ in range(1000):
         s_dis, s_target = _random_unit(rng), _random_unit(rng)
-        sol = solve_retardances(s_dis, s_target, config, rng=solver_rng)
-        worst = max(worst, _residual(sol, s_dis, s_target))
-    assert worst <= 1e-8
+        for sol in (solve_retardances(s_dis, s_target),
+                    solve_retardances(s_dis, s_target, curves=curves)):
+            worst = max(worst, _residual(sol, s_dis, s_target))
+    assert worst <= 1e-12
 
 
-def test_solver_prefers_shallow_curve_regions():
+def _slope_score(curves, triple):
+    return sum(
+        curve_slope_at(c, voltage_for_retardance(c, d).voltage)
+        for c, d in zip(curves, triple.as_tuple())
+    )
+
+
+def test_solver_prefers_steep_curve_regions():
+    # The pick is exact, sits inside every curve span, and no other row of
+    # the family, shifted into reach by whole waves, sits on steeper curves.
     curves = synthetic_curve_set(3)
-    rng_a = np.random.default_rng(7)
-    rng_b = np.random.default_rng(7)
     s_dis = NormalizedStokes(0.0, 0.8, 0.6)
     target = cardinal_target("D")
-    plain = solve_retardances(s_dis, target, LoopConfig(), rng=rng_a)
-    guided = solve_retardances(s_dis, target, LoopConfig(), curves=curves, rng=rng_b)
-    assert _residual(guided, s_dis, target) <= 1e-9
-    # Both valid; the guided pick may differ but must never be worse than
-    # the plain pick by the slope score.
-    def score(trip):
-        from polcomp.lcvr import curve_slope_at, voltage_for_retardance
+    guided = solve_retardances(s_dis, target, curves=curves)
+    assert _residual(guided, s_dis, target) <= 1e-12
+    for c, d in zip(curves, guided.as_tuple()):
+        assert c.retardances.min() <= d <= c.retardances.max()
+        assert d - 2 * math.pi < c.retardances.min()  # the lowest reachable wave
+    best = _slope_score(curves, guided)
+    others = 0
+    for row in _solution_family(s_dis.as_array(), target.as_array()):
+        shifted = []
+        for c, d in zip(curves, row):
+            lo = c.retardances.min()
+            shifted.append(d - 2 * math.pi * math.floor((d - lo) / (2 * math.pi)))
+        triple = RetardanceTriple(*shifted)
+        assert _slope_score(curves, triple) <= best + 1e-12
+        others += _slope_score(curves, triple) < best - 1e-3
+    assert others > 0  # the choice is not vacuous
 
+
+def test_solver_returns_least_unreachable_row_when_none_fits():
+    # Curves spanning 0.1*pi..0.2*pi turn the sphere by at most 0.6*pi in
+    # all, short of the half turn H -> V needs: no row is reachable on all
+    # three, so the solve returns the row least outside the spans.
+    curves = _rescaled_curves(3, 0.1 * math.pi, 0.2 * math.pi)
+    s_dis, target = cardinal_target("H"), cardinal_target("V")
+    sol = solve_retardances(s_dis, target, curves=curves)
+    assert _residual(sol, s_dis, target) <= 1e-12
+
+    def outside(triple):
         return sum(
-            curve_slope_at(c, voltage_for_retardance(c, d).voltage)
-            for c, d in zip(curves, trip.as_tuple())
+            max(c.retardances.min() - d, d - c.retardances.max(), 0.0)
+            for c, d in zip(curves, triple.as_tuple())
         )
 
-    assert score(guided) <= score(plain) + 1e-12
-
-
-def test_solver_failure_raises():
-    # An unreachable tolerance fails every start.
-    config = LoopConfig(multistart_count=2, solver_tolerance=1e-30)
-    with pytest.raises(SolverFailureError):
-        solve_retardances(
-            cardinal_target("H"), cardinal_target("R"), config,
-            rng=np.random.default_rng(1),
-        )
+    assert outside(sol) > 0.0
+    for row in _solution_family(s_dis.as_array(), target.as_array()):
+        best_row = 0.0
+        for c, d in zip(curves, row):
+            lo, hi = c.retardances.min(), c.retardances.max()
+            up = d - 2 * math.pi * math.floor((d - lo) / (2 * math.pi))
+            best_row += max(min(up - hi, lo - (up - 2 * math.pi)), 0.0)
+        assert outside(sol) <= best_row + 1e-12
 
 
 # --- loop configuration ------------------------------------------------------------
@@ -175,8 +216,6 @@ def test_loop_config_validation():
         LoopConfig(coarse_threshold=0.99, fine_threshold=0.98)
     with pytest.raises(ValueError):
         LoopConfig(fine_step_v=0.0)
-    with pytest.raises(ValueError):
-        LoopConfig(multistart_count=0)
     with pytest.raises(ValueError):
         LoopConfig(max_coarse_steps=0)
 
@@ -271,29 +310,19 @@ def test_first_coarse_step_actuates_even_above_threshold():
     assert run.state.voltages != before
 
 
-def test_coarse_solver_failure_still_consumes_a_step():
-    target = cardinal_target("H")
-    config = LoopConfig(solver_tolerance=1e-30)  # unreachable: every solve fails
-    app, curves = _noiseless_apparatus(3)
-    run = CompensationRun.begin(curves, target, config, seed=5)
-    before = run.state.voltages
-    coarse_step(run, app, curves, target, config)
-    assert run.total_steps() == 1
-    assert run.coarse_used == 1
-    # The randomized fallback still actuated something in-window.
-    assert run.state.voltages != before
-    for d in run.state.triple.as_tuple():
-        assert LO - 1e-6 <= d < HI + 1e-6
-
-
 def test_budget_exhaustion_reason_and_unreached_fields():
+    # A hostile link that always reads the target's antipode: no correction
+    # ever helps, so the coarse budget runs out.
     target = cardinal_target("H")
-    config = LoopConfig(max_coarse_steps=4, solver_tolerance=1e-30)
-    app, curves = _noiseless_apparatus(9)
-    run = run_compensation(app, curves, target, config, seed=6)
+    config = LoopConfig(max_coarse_steps=4)
+    curves = synthetic_curve_set(4)
+    antipode = NormalizedStokes(-target.u1, -target.u2, -target.u3)
+    run = run_compensation(lambda _v: antipode, curves, target, config)
     assert run.reason == "budget_exhausted"
     assert run.total_steps() == 4
-    assert run.steps_to_995 is None
+    assert run.coarse_used == 4
+    assert run.steps_to_97 is None and run.steps_to_995 is None
+    assert all(rec.fidelity == 0.0 for rec in run.steps)
 
 
 # --- fine phase ------------------------------------------------------------------------
@@ -416,6 +445,16 @@ def test_identity_disturbance_completes_on_probe():
     assert run.total_steps() == 1
     assert run.reason == "fine_threshold_met"
     assert run.steps_to_97 == run.steps_to_995 == 1
+
+
+def test_narrow_curves_still_converge():
+    # Curves spanning only 0.5*pi..1.9*pi: the solve must pick rows the
+    # cells can reach instead of clamping its actuation out of sight.
+    curves = _rescaled_curves(4, 0.5 * math.pi, 1.9 * math.pi)
+    stats = run_trials(200, noise=NoiseModel.none(), base_seed=9, curves=curves,
+                       keep_runs=True)
+    exhausted = sum(run.reason == "budget_exhausted" for run in stats.runs)
+    assert exhausted <= 10
 
 
 def test_runs_are_deterministic():
