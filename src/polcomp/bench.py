@@ -22,7 +22,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compensation import _STACK_ANGLES, CompensationRun, LoopConfig, run_compensation
+from .compensation import (
+    _STACK_ANGLES,
+    REPORT_LEVELS,
+    CompensationRun,
+    LoopConfig,
+    run_compensation,
+)
 from .lcvr import CharacterizationSweep, RetardanceCurve, retardance_for_voltage
 from .polarimetry import measure_stokes, simulate_scan
 from .stokes import (
@@ -101,11 +107,13 @@ class NoiseModel:
 
     @classmethod
     def lab(cls) -> "NoiseModel":
-        """Budget tuned to reproduce bench-top tomography accuracy (mean
-        fidelity on known states ≈ 99.9%, never below 99%) with realistic
-        controller granularity.  The mount-drift term is the calibrated
-        knob: large enough that tomography is measurably imperfect, small
-        enough that the fine-tune climb stays reliable."""
+        """Budget tuned to reproduce bench-top tomography accuracy with
+        realistic controller granularity.  On 3,000 default scans of the
+        six cardinal states (500 each, scan seeds 0-2999) the fidelity
+        has mean 0.9987 and minimum 0.980, and 1.7% of scans fall below
+        0.99.  The mount-drift term is the calibrated knob: large enough
+        that tomography is measurably imperfect, small enough that the
+        fine-tune climb stays reliable."""
         return cls(
             pd_sigma=0.005,
             background_v=0.05,
@@ -382,7 +390,7 @@ def run_trials(
     if source is None:
         source = CARDINAL_STOKES["H"]
 
-    reached: dict[str, list[int]] = {"97": [], "99": [], "995": []}
+    reached: dict[str, list[int]] = {key: [] for key in REPORT_LEVELS}
     runs: list[CompensationRun] = []
     for i in range(int(n_trials)):
         state = np.random.SeedSequence([int(base_seed) & 0xFFFFFFFF, i]).generate_state(3)
@@ -392,13 +400,10 @@ def run_trials(
             seed=int(state[1]),
         )
         run = run_compensation(apparatus, curves, target, config, seed=int(state[2]))
-        for level, value in (
-            ("97", run.steps_to_97),
-            ("99", run.steps_to_99),
-            ("995", run.steps_to_995),
-        ):
-            if value is not None:
-                reached[level].append(value)
+        for key, level in REPORT_LEVELS.items():
+            step = run.steps_to(level)
+            if step is not None:
+                reached[key].append(step)
         if keep_runs:
             runs.append(run)
 
@@ -407,11 +412,7 @@ def run_trials(
 
     return TrialStats(
         trials=int(n_trials),
-        mean_steps_to_97=mean_or_none(reached["97"]),
-        mean_steps_to_99=mean_or_none(reached["99"]),
-        mean_steps_to_995=mean_or_none(reached["995"]),
-        unreached_97=int(n_trials) - len(reached["97"]),
-        unreached_99=int(n_trials) - len(reached["99"]),
-        unreached_995=int(n_trials) - len(reached["995"]),
+        **{f"mean_steps_to_{key}": mean_or_none(values) for key, values in reached.items()},
+        **{f"unreached_{key}": int(n_trials) - len(values) for key, values in reached.items()},
         runs=runs if keep_runs else None,
     )

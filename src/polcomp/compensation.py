@@ -62,7 +62,7 @@ RETARDANCE_WINDOW = (0.2 * math.pi, 2.2 * math.pi)
 
 #: Fidelity levels reported in run statistics, independent of the
 #: configured loop thresholds.
-REPORT_LEVELS = (0.97, 0.99, 0.995)
+REPORT_LEVELS = {"97": 0.97, "99": 0.99, "995": 0.995}
 
 #: Orientations of the retarder stack, radians from horizontal.
 _STACK_ANGLES = (0.0, math.pi / 4.0, 0.0, math.pi / 4.0)
@@ -217,19 +217,13 @@ def solve_retardances(
 
 @dataclass
 class CompensatorState:
-    """Current actuation of the stack: retardances and drive voltages."""
+    """Current actuation of the stack: one drive voltage per cell.
 
-    triple: RetardanceTriple
-    fourth_retardance: float | None
+    Each cell's retardance follows from its voltage through its
+    calibration curve; :meth:`CompensationRun.record` derives it.
+    """
+
     voltages: tuple[float, ...]
-
-    def n_cells(self) -> int:
-        return len(self.voltages)
-
-    def all_retardances(self) -> tuple[float, ...]:
-        if self.fourth_retardance is None:
-            return self.triple.as_tuple()
-        return (*self.triple.as_tuple(), self.fourth_retardance)
 
 
 @dataclass(frozen=True)
@@ -246,7 +240,12 @@ class StepRecord:
 
 @dataclass
 class CompensationRun:
-    """Single-owner record of one compensation session, mutated in place."""
+    """Single-owner record of one compensation session, mutated in place.
+
+    The drive voltages in ``state`` and the transcript ``steps`` are the
+    run's record: step counts and report levels are read off ``steps``,
+    and ``best`` is one of its coarse records.
+    """
 
     config: LoopConfig
     target: NormalizedStokes
@@ -257,18 +256,11 @@ class CompensationRun:
     complete: bool = False
     reason: str | None = None
     current_fidelity: float = -math.inf
-    coarse_used: int = 0
-    fine_used: int = 0
-    steps_to_97: int | None = None
-    steps_to_99: int | None = None
-    steps_to_995: int | None = None
     # Fine-phase coordinate-descent state.
     fine_index: int = 0
     fine_directions: list[int] = field(default_factory=list)
-    # Best coarse measurement so far, for regression recovery.
-    best_fidelity: float = -math.inf
-    best_state: CompensatorState | None = None
-    best_stokes: NormalizedStokes | None = None
+    # Best coarse step so far: every coarse correction starts from it.
+    best: StepRecord | None = None
 
     @classmethod
     def begin(
@@ -288,75 +280,52 @@ class CompensationRun:
             raise ValueError(f"need 3 or 4 calibration curves, got {len(curves)}")
         # Identity-equivalent start: a full wave per cell keeps an
         # undisturbed link untouched at the first probe.
-        full_wave = 2.0 * math.pi
-        voltages = []
-        retardances = []
-        for curve in curves:
-            v = voltage_for_retardance(curve, full_wave).voltage
-            voltages.append(v)
-            retardances.append(retardance_for_voltage(curve, v))
-        state = CompensatorState(
-            triple=RetardanceTriple(*retardances[:3]),
-            fourth_retardance=retardances[3] if len(curves) == 4 else None,
-            voltages=tuple(voltages),
-        )
-        run = cls(config=config, target=target, curves=curves, state=state)
+        voltages = tuple(voltage_for_retardance(c, 2.0 * math.pi).voltage for c in curves)
+        run = cls(config=config, target=target, curves=curves, state=CompensatorState(voltages))
         run.fine_directions = [1] * len(curves)
         return run
 
     def total_steps(self) -> int:
         return len(self.steps)
 
+    @property
+    def coarse_used(self) -> int:
+        return sum(rec.phase == "coarse" for rec in self.steps)
+
+    @property
+    def fine_used(self) -> int:
+        return sum(rec.phase == "fine" for rec in self.steps)
+
     def record(self, phase: str, stokes: NormalizedStokes, fid: float) -> StepRecord:
+        voltages = self.state.voltages
         rec = StepRecord(
             step=len(self.steps) + 1,
             phase=phase,
-            retardances=self.state.all_retardances(),
-            voltages=self.state.voltages,
+            retardances=tuple(
+                retardance_for_voltage(c, v) for c, v in zip(self.curves, voltages)
+            ),
+            voltages=voltages,
             stokes=(stokes.u1, stokes.u2, stokes.u3),
             fidelity=fid,
         )
         self.steps.append(rec)
-        if self.steps_to_97 is None and fid > REPORT_LEVELS[0]:
-            self.steps_to_97 = rec.step
-        if self.steps_to_99 is None and fid > REPORT_LEVELS[1]:
-            self.steps_to_99 = rec.step
-        if self.steps_to_995 is None and fid > REPORT_LEVELS[2]:
-            self.steps_to_995 = rec.step
         return rec
+
+    def steps_to(self, level: float) -> int | None:
+        """Number of the first step whose fidelity is above ``level``."""
+        return next((rec.step for rec in self.steps if rec.fidelity > level), None)
+
+    @property
+    def steps_to_995(self) -> int | None:
+        return self.steps_to(REPORT_LEVELS["995"])
 
     def finish(self, reason: str) -> None:
         self.complete = True
         self.reason = reason
 
     def summary(self) -> dict:
-        return {
-            "steps_to_97": self.steps_to_97,
-            "steps_to_99": self.steps_to_99,
-            "steps_to_995": self.steps_to_995,
-            "reason": self.reason,
-        }
-
-
-def _fourth_inverse(state: CompensatorState) -> np.ndarray | None:
-    if state.fourth_retardance is None:
-        return None
-    return invert_retarder(mueller_lcvr(_STACK_ANGLES[3], state.fourth_retardance))
-
-
-def _actuate_triple(run: CompensationRun, triple: RetardanceTriple) -> None:
-    """Map solved retardances to voltages and store the implied setting."""
-    voltages = list(run.state.voltages)
-    implied = []
-    for i in range(3):
-        v = voltage_for_retardance(run.curves[i], triple.as_tuple()[i]).voltage
-        voltages[i] = v
-        implied.append(retardance_for_voltage(run.curves[i], v))
-    run.state = CompensatorState(
-        triple=RetardanceTriple(*implied),
-        fourth_retardance=run.state.fourth_retardance,
-        voltages=tuple(voltages),
-    )
+        levels = {f"steps_to_{key}": self.steps_to(lv) for key, lv in REPORT_LEVELS.items()}
+        return {**levels, "reason": self.reason}
 
 
 def coarse_step(
@@ -368,47 +337,40 @@ def coarse_step(
 ) -> CompensationRun:
     """One coarse cycle: measure, then infer, solve, and actuate as needed.
 
-    The measurement is recorded against the settings that produced it.
-    The very first cycle always applies a correction — the probe
-    measurement exists to seed the solver, not to be judged against the
-    threshold.  On later cycles, a measurement that clears the coarse
-    threshold moves the run to the fine phase and keeps the settings
-    that earned it; re-solving from a noisy snapshot of an already-good
-    state would only re-randomize it at the measurement-noise floor.
-    Below the threshold, the cycle corrects: if the measurement
-    regressed below the best coarse measurement so far, the best
-    settings are restored before the next inference.
+    The measurement is recorded against the settings that produced it,
+    and becomes ``run.best`` if no earlier coarse reading beats it (a tie
+    takes the newer one).  The very first cycle always applies a
+    correction — the probe measurement exists to seed the solver, not to
+    be judged against the threshold.  On later cycles, a measurement that
+    clears the coarse threshold moves the run to the fine phase and keeps
+    the settings that earned it; re-solving from a noisy snapshot of an
+    already-good state would only re-randomize it at the
+    measurement-noise floor.  Below the threshold, the cycle corrects
+    from ``run.best``, using its voltages, reading and retardances; after
+    a regression, that restores the best setting before the inference.
     """
     stokes = measure(run.state.voltages)
     fid = fidelity(stokes, target)
-    run.record("coarse", stokes, fid)
-    first = run.coarse_used == 0
-    run.coarse_used += 1
+    first = run.best is None
+    rec = run.record("coarse", stokes, fid)
     run.current_fidelity = fid
-
+    if first or fid >= run.best.fidelity:
+        run.best = rec
     if fid >= config.coarse_threshold:
         run.phase = "fine"
         if not first:
-            if run.best_state is None or fid >= run.best_fidelity:
-                run.best_fidelity = fid
-                run.best_state = run.state
-                run.best_stokes = stokes
             return run
 
-    if run.best_state is not None and fid < run.best_fidelity:
-        # Regressed: fall back to the best-known setting and its measurement.
-        run.state = run.best_state
-        stokes = run.best_stokes  # type: ignore[assignment]
-    else:
-        run.best_fidelity = fid
-        run.best_state = run.state
-        run.best_stokes = stokes
-
-    m4_inv = _fourth_inverse(run.state)
-    target_eff = target if m4_inv is None else transform_normalized(m4_inv, target)
-    seen = stokes if m4_inv is None else transform_normalized(m4_inv, stokes)
-    s_dis = infer_disturbed(seen, run.state.triple)
-    _actuate_triple(run, solve_retardances(s_dis, target_eff, curves=curves[:3]))
+    best = run.best
+    seen, target_eff = NormalizedStokes(*best.stokes), target
+    if len(best.retardances) == 4:
+        m4_inv = invert_retarder(mueller_lcvr(_STACK_ANGLES[3], best.retardances[3]))
+        seen = transform_normalized(m4_inv, seen)
+        target_eff = transform_normalized(m4_inv, target)
+    s_dis = infer_disturbed(seen, RetardanceTriple(*best.retardances[:3]))
+    triple = solve_retardances(s_dis, target_eff, curves=curves[:3])
+    solved = (voltage_for_retardance(c, d).voltage for c, d in zip(run.curves, triple.as_tuple()))
+    run.state = CompensatorState((*solved, *best.voltages[3:]))
     return run
 
 
@@ -433,7 +395,7 @@ def fine_tune_step(
         run.finish("fine_threshold_met")
         return run
 
-    n = run.state.n_cells()
+    n = len(run.state.voltages)
     step_v = config.fine_step_v
     for _ in range(2 * n):
         i = run.fine_index
@@ -450,19 +412,11 @@ def fine_tune_step(
 
     voltages = list(run.state.voltages)
     voltages[i] = v_new
-    implied = [retardance_for_voltage(run.curves[j], voltages[j]) for j in range(n)]
-    trial_state = CompensatorState(
-        triple=RetardanceTriple(*implied[:3]),
-        fourth_retardance=implied[3] if n == 4 else None,
-        voltages=tuple(voltages),
-    )
-
     previous = run.state
-    run.state = trial_state
-    stokes = measure(trial_state.voltages)
+    run.state = CompensatorState(tuple(voltages))
+    stokes = measure(run.state.voltages)
     fid = fidelity(stokes, run.target)
     run.record("fine", stokes, fid)
-    run.fine_used += 1
 
     if fid > run.current_fidelity:
         run.current_fidelity = fid  # keep the move, stay on this cell

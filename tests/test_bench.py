@@ -2,6 +2,7 @@
 a hand-composed oracle, noise plumbing and trial aggregation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,6 +219,33 @@ def test_trial_stats_match_kept_runs():
     assert stats.mean_steps_to_995 == pytest.approx(float(np.mean(vals)))
     assert stats.unreached_995 == 20 - len(vals)
     assert stats.to_json()["trials"] == 20
+
+
+def test_step_statistics_are_pinned():
+    # Exact values: a refactor of the loop must leave every transcript, and
+    # so these means, unchanged.  A deliberate behaviour change updates them.
+    lab = run_trials(200, noise=NoiseModel.lab(), base_seed=301)
+    assert lab.to_json() == {
+        "trials": 200,
+        "mean_steps_to_97": 1.985,
+        "mean_steps_to_99": 2.125,
+        "mean_steps_to_995": 2.77,
+        "unreached_97": 0,
+        "unreached_99": 0,
+        "unreached_995": 0,
+    }
+    stale = run_trials(
+        200, noise=replace(NoiseModel.lab(), retardance_curve_error=0.1), base_seed=301
+    )
+    assert stale.to_json() == {
+        "trials": 200,
+        "mean_steps_to_97": 2.07,
+        "mean_steps_to_99": 3.76,
+        "mean_steps_to_995": 7.525,
+        "unreached_97": 0,
+        "unreached_99": 0,
+        "unreached_995": 0,
+    }
 
 
 def test_noise_degrades_convergence_monotonically():

@@ -1,0 +1,42 @@
+"""The benchmark harness in ``perfbench/`` reads program names it does not
+own.  Load its modules from their files, unchanged, and check that every
+name it traces resolves and that its loop checks find no contradiction."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from polcomp.bench import NoiseModel
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    spans = _load("spans")
+    for mod_name, fns in spans.TRACED.items():
+        module = importlib.import_module(f"polcomp.{mod_name}")
+        for fn in fns:
+            assert callable(getattr(module, fn, None)), f"polcomp.{mod_name}.{fn}"
+    for mod_name, cls_name, meth in spans.TRACED_METHODS:
+        cls = getattr(importlib.import_module(f"polcomp.{mod_name}"), cls_name)
+        assert callable(getattr(cls, meth, None)), f"polcomp.{mod_name}.{cls_name}.{meth}"
+
+
+def test_loop_workload_checks_find_nothing_wrong():
+    workloads = _load("workloads")
+    trials = workloads.LoopTrials(NoiseModel.lab(), pool=30)
+    batch = trials.prepare(1)
+    records = [trials.check(batch, k, trials.run(batch, k)) for k in range(trials.pool)]
+    assert len(records) == 30
+    for k, rec in enumerate(records):
+        assert rec.wrong == (), f"op {k}: {rec.wrong}"
+        assert rec.readings > 0

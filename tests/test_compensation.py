@@ -229,8 +229,9 @@ def test_begin_requires_three_or_four_curves():
 def test_begin_starts_at_full_wave():
     curves = synthetic_curve_set(4)
     run = CompensationRun.begin(curves, cardinal_target("H"), LoopConfig())
-    for d in run.state.all_retardances():
-        assert d == pytest.approx(2 * math.pi, abs=1e-6)
+    assert len(run.state.voltages) == 4
+    for curve, v in zip(curves, run.state.voltages):
+        assert retardance_for_voltage(curve, v) == pytest.approx(2 * math.pi, abs=1e-6)
 
 
 # --- coarse phase ---------------------------------------------------------------------
@@ -293,7 +294,39 @@ def test_coarse_crossing_after_first_step_keeps_settings():
     coarse_step(run, provider, curves, target, config)
     assert run.phase == "fine"
     assert run.state.voltages == commanded
-    assert run.best_fidelity == pytest.approx(0.99)
+    assert run.best is run.steps[1]
+    assert run.best.fidelity == pytest.approx(0.99)
+
+
+def test_coarse_regression_restores_best_setting():
+    # D, then V, then A against H read fidelities 0.5, 0 and 0.5.  The
+    # second reading regressed, so its correction starts from the first
+    # step again; the third ties the first and, being newer, becomes best.
+    target = cardinal_target("H")
+    config = LoopConfig()
+    curves = synthetic_curve_set(4)
+    run = CompensationRun.begin(curves, target, config)
+    readings = iter([cardinal_target(name) for name in "DVA"])
+
+    def provider(_voltages):
+        return next(readings)
+
+    coarse_step(run, provider, curves, target, config)
+    after_first = run.state.voltages
+    assert run.best is run.steps[0]
+    coarse_step(run, provider, curves, target, config)
+    assert run.steps[1].fidelity == pytest.approx(0.0)
+    assert run.steps[1].voltages == after_first
+    assert run.state.voltages == after_first
+    assert run.best is run.steps[0]
+    coarse_step(run, provider, curves, target, config)
+    assert run.steps[2].fidelity == run.steps[0].fidelity == pytest.approx(0.5)
+    assert run.best is run.steps[2]
+    assert run.phase == "coarse" and run.coarse_used == 3
+    for rec in run.steps:
+        assert rec.retardances == tuple(
+            retardance_for_voltage(c, v) for c, v in zip(curves, rec.voltages)
+        )
 
 
 def test_first_coarse_step_actuates_even_above_threshold():
@@ -321,7 +354,7 @@ def test_budget_exhaustion_reason_and_unreached_fields():
     assert run.reason == "budget_exhausted"
     assert run.total_steps() == 4
     assert run.coarse_used == 4
-    assert run.steps_to_97 is None and run.steps_to_995 is None
+    assert run.steps_to(0.97) is None and run.steps_to_995 is None
     assert all(rec.fidelity == 0.0 for rec in run.steps)
 
 
@@ -373,12 +406,7 @@ def test_fine_tune_skips_out_of_range_moves_without_measuring():
     # Park cell 1 at the top of its drive range so +0.02 V is infeasible.
     v = list(run.state.voltages)
     v[0] = float(curves[0].drive_voltages[-1])
-    implied = [retardance_for_voltage(curves[j], v[j]) for j in range(4)]
-    run.state = CompensatorState(
-        triple=RetardanceTriple(*implied[:3]),
-        fourth_retardance=implied[3],
-        voltages=tuple(v),
-    )
+    run.state = CompensatorState(tuple(v))
     run.current_fidelity = 0.98
     calls = []
 
@@ -444,7 +472,7 @@ def test_identity_disturbance_completes_on_probe():
     run = run_compensation(app, curves, target, seed=4)
     assert run.total_steps() == 1
     assert run.reason == "fine_threshold_met"
-    assert run.steps_to_97 == run.steps_to_995 == 1
+    assert run.steps_to(0.97) == run.steps_to_995 == 1
 
 
 def test_narrow_curves_still_converge():
