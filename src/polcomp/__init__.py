@@ -19,17 +19,14 @@ from .bench import (
     synthetic_retardance_curve,
 )
 from .compensation import (
-    RETARDANCE_WINDOW,
     CompensationRun,
     CompensatorState,
     LoopConfig,
-    RetardanceTriple,
     StepRecord,
     infer_disturbed,
     qber_opt,
     qber_total,
     run_compensation,
-    shift_to_range,
     solve_retardances,
 )
 from .lcvr import (
@@ -37,7 +34,6 @@ from .lcvr import (
     CharacterizationSweep,
     RetardanceCurve,
     UnwrapAmbiguityError,
-    VoltageLookup,
     build_curve,
     retardance_error,
     retardance_for_voltage,
@@ -113,7 +109,6 @@ __all__ = [
     "CharacterizationSweep",
     "RetardanceCurve",
     "UnwrapAmbiguityError",
-    "VoltageLookup",
     "build_curve",
     "retardance_error",
     "retardance_for_voltage",
@@ -121,17 +116,14 @@ __all__ = [
     "unwrap_retardance",
     "voltage_for_retardance",
     # compensation
-    "RETARDANCE_WINDOW",
     "CompensationRun",
     "CompensatorState",
     "LoopConfig",
-    "RetardanceTriple",
     "StepRecord",
     "infer_disturbed",
     "qber_opt",
     "qber_total",
     "run_compensation",
-    "shift_to_range",
     "solve_retardances",
     # bench
     "FiberDisturbance",

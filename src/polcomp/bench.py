@@ -264,10 +264,6 @@ def virtual_measure(
     true_source: StokesVector,
     noise: NoiseModel,
     seed: int = 0,
-    n_samples: int = DEFAULT_SCAN_SAMPLES,
-    step: float = DEFAULT_SCAN_STEP,
-    alpha: float = 0.0,
-    gain: float = 1.0,
 ) -> NormalizedStokes:
     """One end-to-end polarimeter reading of the compensated link.
 
@@ -276,7 +272,9 @@ def virtual_measure(
     requested drive voltages are quantized, mapped through each cell's
     *true* curve (the calibration curve plus that cell's static bias for
     this disturbance), and the resulting scan is analyzed exactly as a
-    real one would be.
+    real one would be.  The scan takes :data:`DEFAULT_SCAN_SAMPLES`
+    samples :data:`DEFAULT_SCAN_STEP` apart, with no mount offset and
+    unit detector gain.
     """
     if len(compensator_voltages) != len(curves):
         raise ValueError(
@@ -292,7 +290,7 @@ def virtual_measure(
         elements.append(mueller_lcvr(_STACK_ANGLES[i], delta))
     s_out = apply(compose(elements), true_source)
     scan = simulate_scan(
-        s_out, n_samples, step, alpha=alpha, noise=noise, seed=seed, gain=gain
+        s_out, DEFAULT_SCAN_SAMPLES, DEFAULT_SCAN_STEP, noise=noise, seed=seed
     )
     return measure_stokes(scan)
 
@@ -311,9 +309,6 @@ class VirtualApparatus:
     noise: NoiseModel
     source: StokesVector = field(default_factory=lambda: CARDINAL_STOKES["H"])
     seed: int = 0
-    n_samples: int = DEFAULT_SCAN_SAMPLES
-    step: float = DEFAULT_SCAN_STEP
-    gain: float = 1.0
     calls: int = 0
 
     def __call__(self, voltages: Sequence[float]) -> NormalizedStokes:
@@ -328,9 +323,6 @@ class VirtualApparatus:
             self.source,
             self.noise,
             seed=scan_seed,
-            n_samples=self.n_samples,
-            step=self.step,
-            gain=self.gain,
         )
 
 

@@ -3,21 +3,21 @@
 The compensator is a stack of liquid-crystal retarders at 0/45/0 (and
 optionally a fourth at 45) degrees.  One *step* is one polarization
 measurement.  The coarse phase inverts the current compensator setting
-to estimate the state entering the stack, solves directly for the three
-retardances that map it onto the target, and actuates them through the
-calibration curves.  Once the measured fidelity clears the coarse
-threshold, a fine phase hill-climbs the drive voltages one cell at a
-time in small steps until the fine threshold (or the step budget) is
-reached.
+to estimate the state entering the stack, solves directly for the drive
+voltages of the three cells that map it onto the target, and actuates
+them.  Once the measured fidelity clears the coarse threshold, a fine
+phase hill-climbs the drive voltages one cell at a time in small steps
+until the fine threshold (or the step budget) is reached.
 
 The retardance solve is closed-form.  The 0/45/0 stack turns the
 sphere about S1, then S2, then S1: an Euler-angle chart of SO(3), so the
 exact solutions form a family with one free angle.  The family is
 enumerated on a fixed grid of that angle, each row is shifted by whole
-waves into what its cells' calibration curves reach, and the reachable
-row on the steepest parts of the curves is actuated, where the fine
-phase's fixed voltage nudge still moves retardance.  The loop draws no
-random numbers of its own.
+waves into what its cells' calibration curves reach, and every row is
+looked up on the curves at once, one array lookup per cell.  The
+reachable row on the steepest parts of the curves is actuated, where the
+fine phase's fixed voltage nudge still moves retardance.  The loop draws
+no random numbers of its own.
 """
 
 from __future__ import annotations
@@ -39,14 +39,11 @@ from .stokes import (
 )
 
 __all__ = [
-    "RETARDANCE_WINDOW",
-    "RetardanceTriple",
     "LoopConfig",
     "CompensatorState",
     "StepRecord",
     "CompensationRun",
     "MeasurementProvider",
-    "shift_to_range",
     "infer_disturbed",
     "solve_retardances",
     "coarse_step",
@@ -55,10 +52,6 @@ __all__ = [
     "qber_opt",
     "qber_total",
 ]
-
-#: Physical actuation window for a full-wave cell: one wave of headroom
-#: starting above the high-voltage residual retardance.
-RETARDANCE_WINDOW = (0.2 * math.pi, 2.2 * math.pi)
 
 #: Fidelity levels reported in run statistics, independent of the
 #: configured loop thresholds.
@@ -76,24 +69,12 @@ _FAMILY_GRID = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
 #: relax, 1 = baseline is always the latest reading).
 _BASELINE_RELAXATION = 0.3
 
+#: Drive-voltage nudge of one fine-phase probe, volts: 2x the usual
+#: 0.01 V curve granularity.
+_FINE_STEP_V = 0.02
+
 MeasurementProvider = Callable[[Sequence[float]], NormalizedStokes]
 """Applies the given drive voltages and returns one measured state."""
-
-
-@dataclass(frozen=True)
-class RetardanceTriple:
-    """Retardances of the three solving cells, radians."""
-
-    d1: float
-    d2: float
-    d3: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.d1, self.d2, self.d3)
-
-    def shifted(self) -> "RetardanceTriple":
-        """Equivalent triple inside the physical actuation window."""
-        return RetardanceTriple(*(shift_to_range(d) for d in self.as_tuple()))
 
 
 @dataclass(frozen=True)
@@ -104,7 +85,6 @@ class LoopConfig:
     fine_threshold: float = 0.995
     max_coarse_steps: int = 25
     max_fine_steps: int = 150
-    fine_step_v: float = 0.02  # 2x the usual 0.01 V curve granularity
 
     def __post_init__(self) -> None:
         if not (0.0 < self.coarse_threshold < self.fine_threshold < 1.0):
@@ -114,25 +94,12 @@ class LoopConfig:
             )
         if self.max_coarse_steps < 1 or self.max_fine_steps < 0:
             raise ValueError("step budgets must allow at least the coarse phase")
-        if not (self.fine_step_v > 0.0):
-            raise ValueError(f"fine_step_v must be positive, got {self.fine_step_v!r}")
 
 
-def shift_to_range(d: float) -> float:
-    """Wrap a retardance by whole waves into ``[0.2*pi, 2.2*pi)``."""
-    d = float(d)
-    if not math.isfinite(d):
-        raise ValueError(f"retardance must be finite, got {d!r}")
-    lo, hi = RETARDANCE_WINDOW
-    # A remainder within an ulp of a whole wave rounds up to ``hi``, which
-    # is the same retardance as ``lo``.
-    out = lo + (d - lo) % (2.0 * math.pi)
-    return out if out < hi else lo
-
-
-def infer_disturbed(s_meas: NormalizedStokes, current: RetardanceTriple) -> NormalizedStokes:
-    """State at the compensator input, given what was measured behind it."""
-    m_inv = invert_retarder(mueller_lcvr_triple(*current.as_tuple()))
+def infer_disturbed(s_meas: NormalizedStokes, current: Sequence[float]) -> NormalizedStokes:
+    """State at the compensator input, given what was measured behind the
+    three solving cells at retardances ``current``."""
+    m_inv = invert_retarder(mueller_lcvr_triple(*current))
     return transform_normalized(m_inv, s_meas)
 
 
@@ -177,23 +144,22 @@ def _solution_family(u: np.ndarray, t: np.ndarray) -> np.ndarray:
 def solve_retardances(
     s_dis: NormalizedStokes,
     s_target: NormalizedStokes,
-    curves: Sequence[RetardanceCurve] | None = None,
-) -> RetardanceTriple:
-    """Retardances that rotate ``s_dis`` onto ``s_target`` through the stack.
+    curves: Sequence[RetardanceCurve],
+) -> tuple[float, float, float]:
+    """Drive voltages of the three solving cells that rotate ``s_dis`` onto
+    ``s_target`` through the stack.
 
-    Every row of the closed-form family is exact.  Without ``curves`` the
-    first row is returned, wrapped into :data:`RETARDANCE_WINDOW`.  With
-    them, each component is shifted by whole waves into the lowest wave
-    its own cell's curve reaches; among the rows that all three curves
-    reach, the one on the steepest summed curve slope wins.  A steep
-    region holds a short voltage interval per radian, so the fine phase's
-    fixed voltage nudge still moves retardance; the flat high-voltage tail
-    would stall it.  If no row is reachable, the one least outside the
-    spans is returned, and actuation clamps it.
+    Every row of the closed-form family of retardances is exact.  Each
+    component is shifted by whole waves into the lowest wave its own
+    cell's curve reaches, and every row is looked up on the curves.
+    Among the rows that all three curves reach, the one on the steepest
+    summed curve slope wins.  A steep region holds a short voltage
+    interval per radian, so the fine phase's fixed voltage nudge still
+    moves retardance; the flat high-voltage tail would stall it.  If no
+    row is reachable, the one least outside the spans is picked, and its
+    lookup clamps each out-of-span component to the end voltage.
     """
     rows = _solution_family(s_dis.as_array(), s_target.as_array())
-    if curves is None:
-        return RetardanceTriple(*rows[0]).shifted()
     cells = curves[:3]
     lows = np.array([c.retardances.min() for c in cells])
     highs = np.array([c.retardances.max() for c in cells])
@@ -203,16 +169,15 @@ def solve_retardances(
     under = lows + two_pi - rows
     # Past the top of a span: take whichever wave lies nearer to it.
     rows = np.where(over > under, rows - two_pi, rows)
+    volts = np.column_stack([voltage_for_retardance(c, rows[:, i]) for i, c in enumerate(cells)])
     outside = np.maximum(np.minimum(over, under), 0.0).sum(axis=1)
     reachable = outside == 0.0
-    if not reachable.any():
-        return RetardanceTriple(*rows[int(np.argmin(outside))].tolist())
-    steepness = sum(
-        curve_slope_at(c, voltage_for_retardance(c, rows[:, i]).voltage)
-        for i, c in enumerate(cells)
-    )
-    best = int(np.argmax(np.where(reachable, steepness, -np.inf)))
-    return RetardanceTriple(*rows[best].tolist())
+    if reachable.any():
+        steepness = sum(curve_slope_at(c, volts[:, i]) for i, c in enumerate(cells))
+        pick = int(np.argmax(np.where(reachable, steepness, -np.inf)))
+    else:
+        pick = int(np.argmin(outside))
+    return tuple(volts[pick].tolist())
 
 
 @dataclass
@@ -253,7 +218,6 @@ class CompensationRun:
     state: CompensatorState
     steps: list[StepRecord] = field(default_factory=list)
     phase: str = "coarse"
-    complete: bool = False
     reason: str | None = None
     current_fidelity: float = -math.inf
     # Fine-phase coordinate-descent state.
@@ -280,7 +244,7 @@ class CompensationRun:
             raise ValueError(f"need 3 or 4 calibration curves, got {len(curves)}")
         # Identity-equivalent start: a full wave per cell keeps an
         # undisturbed link untouched at the first probe.
-        voltages = tuple(voltage_for_retardance(c, 2.0 * math.pi).voltage for c in curves)
+        voltages = tuple(voltage_for_retardance(c, 2.0 * math.pi) for c in curves)
         run = cls(config=config, target=target, curves=curves, state=CompensatorState(voltages))
         run.fine_directions = [1] * len(curves)
         return run
@@ -319,8 +283,12 @@ class CompensationRun:
     def steps_to_995(self) -> int | None:
         return self.steps_to(REPORT_LEVELS["995"])
 
+    @property
+    def complete(self) -> bool:
+        """A run is finished once it has a reason to stop."""
+        return self.reason is not None
+
     def finish(self, reason: str) -> None:
-        self.complete = True
         self.reason = reason
 
     def summary(self) -> dict:
@@ -367,9 +335,8 @@ def coarse_step(
         m4_inv = invert_retarder(mueller_lcvr(_STACK_ANGLES[3], best.retardances[3]))
         seen = transform_normalized(m4_inv, seen)
         target_eff = transform_normalized(m4_inv, target)
-    s_dis = infer_disturbed(seen, RetardanceTriple(*best.retardances[:3]))
-    triple = solve_retardances(s_dis, target_eff, curves=curves[:3])
-    solved = (voltage_for_retardance(c, d).voltage for c, d in zip(run.curves, triple.as_tuple()))
+    s_dis = infer_disturbed(seen, best.retardances[:3])
+    solved = solve_retardances(s_dis, target_eff, curves[:3])
     run.state = CompensatorState((*solved, *best.voltages[3:]))
     return run
 
@@ -396,11 +363,10 @@ def fine_tune_step(
         return run
 
     n = len(run.state.voltages)
-    step_v = config.fine_step_v
     for _ in range(2 * n):
         i = run.fine_index
         direction = run.fine_directions[i]
-        v_new = run.state.voltages[i] + direction * step_v
+        v_new = run.state.voltages[i] + direction * _FINE_STEP_V
         curve = run.curves[i]
         if curve.drive_voltages[0] <= v_new <= curve.drive_voltages[-1]:
             break

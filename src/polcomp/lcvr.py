@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "UnwrapAmbiguityError",
     "CharacterizationSweep",
     "RetardanceCurve",
-    "VoltageLookup",
     "retardance_from_intensity",
     "retardance_error",
     "unwrap_retardance",
@@ -147,16 +145,6 @@ class RetardanceCurve:
 
     def __len__(self) -> int:
         return int(self.drive_voltages.size)
-
-
-class VoltageLookup(NamedTuple):
-    """Inverse-lookup result; ``clamped`` marks out-of-span targets.
-
-    Both fields are arrays when the lookup was given an array of targets.
-    """
-
-    voltage: float
-    clamped: bool
 
 
 def _principal_retardance(v_meas, v_back: float, v_max: float):
@@ -414,17 +402,18 @@ def retardance_for_voltage(curve: RetardanceCurve, voltage: float) -> float:
 
 def voltage_for_retardance(
     curve: RetardanceCurve, target: float | np.ndarray
-) -> VoltageLookup:
+) -> float | np.ndarray:
     """Drive voltage whose interpolated retardance is nearest to ``target``.
 
-    Accepts a scalar or an array of targets (the lookup then holds arrays).
-    The nearest knot is found in sorted-retardance order, so noisy,
-    non-monotone curves are handled; ties go to the lowest knot index.
-    The voltage is then refined within the knot interval, before or after
-    the nearest knot, that brackets the target.  Targets outside the
-    curve span clamp to the corresponding endpoint voltage and are
-    flagged, never fatal: the caller decides whether a clamped actuation
-    is acceptable.
+    Accepts a scalar or an array of targets and returns a float or an
+    array to match; the coarse solve looks up every row of its solution
+    family in one call per cell.  The nearest knot is found in
+    sorted-retardance order, so noisy, non-monotone curves are handled;
+    ties go to the lowest knot index.  The voltage is then refined within
+    the knot interval, before or after the nearest knot, that brackets the
+    target.  Targets outside the curve span clamp to the corresponding
+    endpoint voltage, never fatal: the caller decides whether an
+    out-of-span target is acceptable before actuating it.
     """
     t = np.asarray(target, dtype=float)
     if not np.isfinite(t).all():
@@ -457,10 +446,7 @@ def voltage_for_retardance(
     voltage = np.where(
         bracketed & ~on_edge, v[lo] + frac * (v[lo + 1] - v[lo]), v[nearest]
     )
-    clamped = (t < ranked[0]) | (t > ranked[-1])
-    if t.ndim == 0:
-        return VoltageLookup(float(voltage), bool(clamped))
-    return VoltageLookup(voltage, clamped)
+    return float(voltage) if t.ndim == 0 else voltage
 
 
 def curve_slope_at(

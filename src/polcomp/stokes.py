@@ -122,11 +122,6 @@ class NormalizedStokes:
     def as_array(self) -> np.ndarray:
         return np.array([self.u1, self.u2, self.u3], dtype=float)
 
-    @classmethod
-    def from_array(cls, values) -> "NormalizedStokes":
-        u1, u2, u3 = (float(v) for v in values)
-        return cls(u1, u2, u3)
-
 
 #: The six cardinal fully polarized states, unit intensity.
 CARDINAL_STOKES: dict[str, StokesVector] = {
@@ -242,9 +237,9 @@ def mueller_lcvr_triple(d1: float, d2: float, d3: float) -> MuellerMatrix:
     """Closed form of three stacked retarders at 0, 45 and 0 degrees.
 
     Equals ``compose([mueller_lcvr(0, d1), mueller_lcvr(pi/4, d2),
-    mueller_lcvr(0, d3)])`` to machine precision; kept in closed form so
-    the compensation solver does not pay three matrix products per
-    residual evaluation.
+    mueller_lcvr(0, d3)])`` to machine precision.  The compensation loop
+    inverts it to infer the state entering the stack
+    (:func:`polcomp.compensation.infer_disturbed`).
     """
     d1 = _check_angle(d1, "d1")
     d2 = _check_angle(d2, "d2")

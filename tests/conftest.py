@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from polcomp.lcvr import CharacterizationSweep
+from polcomp.bench import synthetic_curve_set
+from polcomp.lcvr import CharacterizationSweep, RetardanceCurve
 
 TOP = 2.3 * math.pi
 BOTTOM = 0.2 * math.pi
@@ -73,6 +74,17 @@ def drive_grid():
 @pytest.fixture(scope="session")
 def clean_sweep(drive_grid):
     return sweep_from_profile(drive_grid)
+
+
+def rescaled_curve_set(n, lo, hi):
+    """The synthetic set with each curve mapped linearly onto ``[lo, hi]``."""
+    out = []
+    for c in synthetic_curve_set(n):
+        r = c.retardances
+        scaled = lo + (hi - lo) * (r - r.min()) / (r.max() - r.min())
+        out.append(RetardanceCurve(c.drive_voltages, scaled, c.retardance_errors,
+                                   voltage_step=c.voltage_step))
+    return out
 
 
 @pytest.fixture(scope="session")

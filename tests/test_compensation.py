@@ -1,11 +1,12 @@
-"""The compensation loop: range shifting, inference, the retardance
-solver against a residual oracle, both loop phases, and QBER arithmetic."""
+"""The compensation loop: inference, the solve against a residual oracle,
+both loop phases, and QBER arithmetic."""
 
 import math
 
 import numpy as np
 import pytest
 
+from conftest import rescaled_curve_set
 from polcomp.bench import (
     FiberDisturbance,
     NoiseModel,
@@ -15,11 +16,9 @@ from polcomp.bench import (
     synthetic_curve_set,
 )
 from polcomp.compensation import (
-    RETARDANCE_WINDOW,
     CompensationRun,
     CompensatorState,
     LoopConfig,
-    RetardanceTriple,
     _solution_family,
     coarse_step,
     fine_tune_step,
@@ -27,11 +26,9 @@ from polcomp.compensation import (
     qber_opt,
     qber_total,
     run_compensation,
-    shift_to_range,
     solve_retardances,
 )
 from polcomp.lcvr import (
-    RetardanceCurve,
     curve_slope_at,
     retardance_for_voltage,
     voltage_for_retardance,
@@ -44,52 +41,10 @@ from polcomp.stokes import (
     transform_normalized,
 )
 
-LO, HI = RETARDANCE_WINDOW
-
 
 def _random_unit(rng):
     v = rng.normal(size=3)
     return NormalizedStokes(*(v / np.linalg.norm(v)))
-
-
-def _rescaled_curves(n, lo, hi):
-    """The synthetic set with each curve mapped linearly onto ``[lo, hi]``."""
-    out = []
-    for c in synthetic_curve_set(n):
-        r = c.retardances
-        scaled = lo + (hi - lo) * (r - r.min()) / (r.max() - r.min())
-        out.append(RetardanceCurve(c.drive_voltages, scaled, c.retardance_errors,
-                                   voltage_step=c.voltage_step))
-    return out
-
-
-# --- shift_to_range ----------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "raw,expected",
-    [
-        (-0.5 * math.pi, 1.5 * math.pi),
-        (2.3 * math.pi, 0.3 * math.pi),
-        (0.1 * math.pi, 2.1 * math.pi),
-        (0.2 * math.pi, 0.2 * math.pi),  # lower edge is inclusive
-    ],
-)
-def test_shift_to_range_values(raw, expected):
-    assert shift_to_range(raw) == pytest.approx(expected, abs=1e-12)
-
-
-def test_shift_to_range_always_lands_in_window():
-    rng = np.random.default_rng(41)
-    for d in rng.uniform(-30, 30, 500):
-        out = shift_to_range(d)
-        assert LO <= out < HI
-        # same retardance modulo full waves
-        assert math.remainder(out - d, 2 * math.pi) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_shift_to_range_rejects_non_finite():
-    with pytest.raises(ValueError):
-        shift_to_range(math.inf)
 
 
 # --- inference ------------------------------------------------------------------
@@ -97,7 +52,7 @@ def test_shift_to_range_rejects_non_finite():
 def test_infer_with_identity_setting_is_passthrough():
     full = 2 * math.pi
     u = NormalizedStokes(0.6, -0.48, 0.64)
-    got = infer_disturbed(u, RetardanceTriple(full, full, full))
+    got = infer_disturbed(u, (full, full, full))
     np.testing.assert_allclose(
         [got.u1, got.u2, got.u3], [u.u1, u.u2, u.u3], atol=1e-12
     )
@@ -106,9 +61,9 @@ def test_infer_with_identity_setting_is_passthrough():
 def test_infer_is_exact_left_inverse():
     rng = np.random.default_rng(42)
     for _ in range(200):
-        triple = RetardanceTriple(*rng.uniform(0, 2 * math.pi, 3))
+        triple = tuple(rng.uniform(0, 2 * math.pi, 3))
         s_dis = _random_unit(rng)
-        fwd = transform_normalized(mueller_lcvr_triple(*triple.as_tuple()), s_dis)
+        fwd = transform_normalized(mueller_lcvr_triple(*triple), s_dis)
         back = infer_disturbed(fwd, triple)
         np.testing.assert_allclose(
             [back.u1, back.u2, back.u3], [s_dis.u1, s_dis.u2, s_dis.u3], atol=1e-12
@@ -118,7 +73,7 @@ def test_infer_is_exact_left_inverse():
 # --- the retardance solver --------------------------------------------------------
 
 def _residual(triple, s_dis, s_target):
-    out = transform_normalized(mueller_lcvr_triple(*triple.as_tuple()), s_dis)
+    out = transform_normalized(mueller_lcvr_triple(*triple), s_dis)
     return math.sqrt(
         (out.u1 - s_target.u1) ** 2
         + (out.u2 - s_target.u2) ** 2
@@ -126,37 +81,47 @@ def _residual(triple, s_dis, s_target):
     )
 
 
+def _actuated(curves, volts):
+    """Retardances the cells take at the given drive voltages."""
+    return tuple(retardance_for_voltage(c, v) for c, v in zip(curves, volts))
+
+
+def _in_drive_span(curves, volts):
+    return all(c.drive_voltages[0] <= v <= c.drive_voltages[-1] for c, v in zip(curves, volts))
+
+
 def test_solve_identity_requirement():
     r = cardinal_target("R")
-    sol = solve_retardances(r, r)
-    assert _residual(sol, r, r) <= 1e-9
+    curves = synthetic_curve_set(3)
+    sol = solve_retardances(r, r, curves)
+    assert _residual(_actuated(curves, sol), r, r) <= 1e-9
 
 
 def test_solve_h_to_r():
-    sol = solve_retardances(cardinal_target("H"), cardinal_target("R"))
-    assert _residual(sol, cardinal_target("H"), cardinal_target("R")) <= 1e-9
-    for d in sol.as_tuple():
-        assert LO <= d < HI
+    curves = synthetic_curve_set(3)
+    sol = solve_retardances(cardinal_target("H"), cardinal_target("R"), curves)
+    assert len(sol) == 3 and all(isinstance(v, float) for v in sol)
+    assert _in_drive_span(curves, sol)
+    assert _residual(_actuated(curves, sol), cardinal_target("H"), cardinal_target("R")) <= 1e-9
 
 
 def test_solver_residual_oracle_random_pairs():
     # The only trusted check is the residual itself, evaluated through the
-    # forward matrix — never through the solver's own bookkeeping.
+    # forward matrix at the retardances the cells take at the returned
+    # voltages — never through the solver's own bookkeeping.
     rng = np.random.default_rng(43)
     curves = synthetic_curve_set(3)
     worst = 0.0
     for _ in range(1000):
         s_dis, s_target = _random_unit(rng), _random_unit(rng)
-        for sol in (solve_retardances(s_dis, s_target),
-                    solve_retardances(s_dis, s_target, curves=curves)):
-            worst = max(worst, _residual(sol, s_dis, s_target))
+        sol = solve_retardances(s_dis, s_target, curves)
+        worst = max(worst, _residual(_actuated(curves, sol), s_dis, s_target))
     assert worst <= 1e-12
 
 
 def _slope_score(curves, triple):
     return sum(
-        curve_slope_at(c, voltage_for_retardance(c, d).voltage)
-        for c, d in zip(curves, triple.as_tuple())
+        curve_slope_at(c, voltage_for_retardance(c, d)) for c, d in zip(curves, triple)
     )
 
 
@@ -166,47 +131,57 @@ def test_solver_prefers_steep_curve_regions():
     curves = synthetic_curve_set(3)
     s_dis = NormalizedStokes(0.0, 0.8, 0.6)
     target = cardinal_target("D")
-    guided = solve_retardances(s_dis, target, curves=curves)
+    volts = solve_retardances(s_dis, target, curves)
+    guided = _actuated(curves, volts)
     assert _residual(guided, s_dis, target) <= 1e-12
-    for c, d in zip(curves, guided.as_tuple()):
+    for c, d in zip(curves, guided):
         assert c.retardances.min() <= d <= c.retardances.max()
         assert d - 2 * math.pi < c.retardances.min()  # the lowest reachable wave
-    best = _slope_score(curves, guided)
+    best = sum(curve_slope_at(c, v) for c, v in zip(curves, volts))
+    assert best == pytest.approx(_slope_score(curves, guided), abs=1e-12)
     others = 0
     for row in _solution_family(s_dis.as_array(), target.as_array()):
         shifted = []
         for c, d in zip(curves, row):
             lo = c.retardances.min()
             shifted.append(d - 2 * math.pi * math.floor((d - lo) / (2 * math.pi)))
-        triple = RetardanceTriple(*shifted)
-        assert _slope_score(curves, triple) <= best + 1e-12
-        others += _slope_score(curves, triple) < best - 1e-3
+        assert _slope_score(curves, shifted) <= best + 1e-12
+        others += _slope_score(curves, shifted) < best - 1e-3
     assert others > 0  # the choice is not vacuous
 
 
 def test_solver_returns_least_unreachable_row_when_none_fits():
     # Curves spanning 0.1*pi..0.2*pi turn the sphere by at most 0.6*pi in
     # all, short of the half turn H -> V needs: no row is reachable on all
-    # three, so the solve returns the row least outside the spans.
-    curves = _rescaled_curves(3, 0.1 * math.pi, 0.2 * math.pi)
+    # three, so the solve returns the voltages of the row least outside
+    # the spans, its out-of-span components clamped to end voltages.
+    curves = rescaled_curve_set(3, 0.1 * math.pi, 0.2 * math.pi)
     s_dis, target = cardinal_target("H"), cardinal_target("V")
-    sol = solve_retardances(s_dis, target, curves=curves)
-    assert _residual(sol, s_dis, target) <= 1e-12
+    sol = solve_retardances(s_dis, target, curves)
+    assert _in_drive_span(curves, sol)
+    assert any(v in (c.drive_voltages[0], c.drive_voltages[-1]) for c, v in zip(curves, sol))
 
-    def outside(triple):
-        return sum(
-            max(c.retardances.min() - d, d - c.retardances.max(), 0.0)
-            for c, d in zip(curves, triple.as_tuple())
-        )
-
-    assert outside(sol) > 0.0
+    rows = []
     for row in _solution_family(s_dis.as_array(), target.as_array()):
-        best_row = 0.0
+        shifted, outside = [], 0.0
         for c, d in zip(curves, row):
             lo, hi = c.retardances.min(), c.retardances.max()
             up = d - 2 * math.pi * math.floor((d - lo) / (2 * math.pi))
-            best_row += max(min(up - hi, lo - (up - 2 * math.pi)), 0.0)
-        assert outside(sol) <= best_row + 1e-12
+            over, under = up - hi, lo - (up - 2 * math.pi)
+            shifted.append(up if over <= under else up - 2 * math.pi)
+            outside += max(min(over, under), 0.0)
+        rows.append((outside, shifted))
+    least = min(outside for outside, _ in rows)
+    assert least > 0.0
+    picked = [
+        (outside, shifted) for outside, shifted in rows
+        if [voltage_for_retardance(c, d) for c, d in zip(curves, shifted)]
+        == pytest.approx(list(sol), abs=1e-12)
+    ]
+    assert picked
+    for outside, shifted in picked:
+        assert outside <= least + 1e-12
+        assert _residual(shifted, s_dis, target) <= 1e-12
 
 
 # --- loop configuration ------------------------------------------------------------
@@ -214,8 +189,6 @@ def test_solver_returns_least_unreachable_row_when_none_fits():
 def test_loop_config_validation():
     with pytest.raises(ValueError):
         LoopConfig(coarse_threshold=0.99, fine_threshold=0.98)
-    with pytest.raises(ValueError):
-        LoopConfig(fine_step_v=0.0)
     with pytest.raises(ValueError):
         LoopConfig(max_coarse_steps=0)
 
@@ -478,7 +451,7 @@ def test_identity_disturbance_completes_on_probe():
 def test_narrow_curves_still_converge():
     # Curves spanning only 0.5*pi..1.9*pi: the solve must pick rows the
     # cells can reach instead of clamping its actuation out of sight.
-    curves = _rescaled_curves(4, 0.5 * math.pi, 1.9 * math.pi)
+    curves = rescaled_curve_set(4, 0.5 * math.pi, 1.9 * math.pi)
     stats = run_trials(200, noise=NoiseModel.none(), base_seed=9, curves=curves,
                        keep_runs=True)
     exhausted = sum(run.reason == "budget_exhausted" for run in stats.runs)

@@ -10,13 +10,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sweep_from_profile
-from polcomp.bench import synthetic_retardance_curve
-from polcomp.compensation import RETARDANCE_WINDOW, _solution_family, shift_to_range
+from conftest import rescaled_curve_set, sweep_from_profile
+from polcomp.bench import synthetic_curve_set, synthetic_retardance_curve
+from polcomp.compensation import _solution_family, solve_retardances
 from polcomp.lcvr import build_curve, curve_slope_at, voltage_for_retardance
-from polcomp.stokes import mueller_lcvr_triple
-
-LO, HI = RETARDANCE_WINDOW
+from polcomp.stokes import NormalizedStokes, mueller_lcvr_triple
 
 _component = st.floats(-1.0, 1.0, allow_nan=False)
 unit_vectors = (
@@ -53,13 +51,46 @@ def test_every_family_row_is_exact_between_poles(u, t):
     assert _worst_row_residual(u, t) <= 1e-12
 
 
-# --- range shifting ---------------------------------------------------------------
+# --- the solve against the two-step reference ----------------------------------------
 
-@given(st.floats(-1e6, 1e6, allow_nan=False))
-def test_shift_to_range_stays_in_window(d):
-    out = shift_to_range(d)
-    assert LO <= out < HI
-    assert math.remainder(out - d, 2 * math.pi) == pytest.approx(0.0, abs=1e-9)
+def _reference_solve(u, t, curves):
+    """Pick a row of retardances, then look up each cell's voltage with
+    one scalar lookup: the path the solve's own voltages must reproduce."""
+    rows = _solution_family(u, t)
+    lows = np.array([c.retardances.min() for c in curves])
+    highs = np.array([c.retardances.max() for c in curves])
+    two_pi = 2.0 * math.pi
+    rows = lows + np.mod(rows - lows, two_pi)
+    over = rows - highs
+    under = lows + two_pi - rows
+    rows = np.where(over > under, rows - two_pi, rows)
+    outside = np.maximum(np.minimum(over, under), 0.0).sum(axis=1)
+    reachable = outside == 0.0
+    if reachable.any():
+        steepness = sum(
+            curve_slope_at(c, voltage_for_retardance(c, rows[:, i]))
+            for i, c in enumerate(curves)
+        )
+        row = rows[int(np.argmax(np.where(reachable, steepness, -np.inf)))]
+    else:
+        row = rows[int(np.argmin(outside))]
+    return tuple(voltage_for_retardance(c, d) for c, d in zip(curves, row.tolist()))
+
+
+_SOLVE_CURVES = {
+    "synthetic": synthetic_curve_set(3),
+    "narrow": rescaled_curve_set(3, 0.5 * math.pi, 1.9 * math.pi),
+    "unreachable": rescaled_curve_set(3, 0.1 * math.pi, 0.2 * math.pi),
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVE_CURVES))
+@settings(deadline=None)
+@given(u=unit_vectors, t=unit_vectors)
+def test_solve_voltages_match_two_step_reference(name, u, t):
+    curves = _SOLVE_CURVES[name]
+    got = solve_retardances(NormalizedStokes(*u), NormalizedStokes(*t), curves)
+    assert got == _reference_solve(u, t, curves)
 
 
 # --- array lookups against the scalar reference -------------------------------------
@@ -72,18 +103,18 @@ def _reference_voltage(curve, target):
     i_min = int(np.argmin(r))
     i_max = int(np.argmax(r))
     if target <= r[i_min]:
-        return float(v[i_min]), bool(target < r[i_min])
+        return float(v[i_min])
     if target >= r[i_max]:
-        return float(v[i_max]), bool(target > r[i_max])
+        return float(v[i_max])
     nearest = int(np.argmin(np.abs(r - target)))
     for j in (nearest - 1, nearest + 1):
         if 0 <= j < r.size and (r[nearest] - target) * (r[j] - target) <= 0.0:
             lo, hi = sorted((nearest, j))
             if r[hi] == r[lo]:
-                return float(v[lo]), False
+                return float(v[lo])
             frac = (target - r[lo]) / (r[hi] - r[lo])
-            return float(v[lo] + frac * (v[hi] - v[lo])), False
-    return float(v[nearest]), False
+            return float(v[lo] + frac * (v[hi] - v[lo]))
+    return float(v[nearest])
 
 
 def _reference_slope(curve, voltage):
@@ -119,12 +150,12 @@ def _targets(curve):
 @given(data=st.data())
 def test_array_voltage_lookup_matches_scalar_reference(curve, data):
     targets = data.draw(_targets(curve))
-    hit = voltage_for_retardance(curve, np.array(targets))
+    volts = voltage_for_retardance(curve, np.array(targets))
     for k, target in enumerate(targets):
-        voltage, clamped = _reference_voltage(curve, target)
-        assert hit.voltage[k] == voltage
-        assert bool(hit.clamped[k]) == clamped
-        assert voltage_for_retardance(curve, target) == (voltage, clamped)
+        voltage = _reference_voltage(curve, target)
+        assert volts[k] == voltage
+        scalar = voltage_for_retardance(curve, target)
+        assert isinstance(scalar, float) and scalar == voltage
 
 
 @pytest.mark.parametrize("curve", [_SYNTHETIC, _NOISY], ids=["synthetic", "noisy"])
