@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -248,13 +249,17 @@ def _quantize(voltages: Sequence[float], quantum: float, curves: Sequence[Retard
     return out
 
 
-def _curve_biases(disturbance: FiberDisturbance, sigma: float, n: int) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _curve_biases(seed: int, sigma: float, n: int) -> tuple[float, ...]:
+    """Static bias of each cell's true curve on the link drawn from ``seed``.
+
+    A pure function of its arguments, cached for the link last read: a
+    run reads the same link at every step.
+    """
     if sigma <= 0.0:
-        return np.zeros(n)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([disturbance.seed & 0xFFFFFFFF, _TAG_CURVE_BIAS])
-    )
-    return rng.normal(0.0, sigma, n)
+        return (0.0,) * n
+    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, _TAG_CURVE_BIAS]))
+    return tuple(rng.normal(0.0, sigma, n).tolist())
 
 
 def virtual_measure(
@@ -283,10 +288,10 @@ def virtual_measure(
     if len(curves) not in (3, 4):
         raise ValueError(f"stack must have 3 or 4 cells, got {len(curves)}")
     applied = _quantize(compensator_voltages, noise.voltage_quantum_v, curves)
-    biases = _curve_biases(disturbance, noise.retardance_curve_error, len(curves))
+    biases = _curve_biases(disturbance.seed, noise.retardance_curve_error, len(curves))
     elements = [disturbance.mueller]
     for i, (v, curve) in enumerate(zip(applied, curves)):
-        delta = retardance_for_voltage(curve, v) + float(biases[i])
+        delta = retardance_for_voltage(curve, v) + biases[i]
         elements.append(mueller_lcvr(_STACK_ANGLES[i], delta))
     s_out = apply(compose(elements), true_source)
     scan = simulate_scan(

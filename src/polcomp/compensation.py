@@ -161,8 +161,7 @@ def solve_retardances(
     """
     rows = _solution_family(s_dis.as_array(), s_target.as_array())
     cells = curves[:3]
-    lows = np.array([c.retardances.min() for c in cells])
-    highs = np.array([c.retardances.max() for c in cells])
+    lows, highs = np.array([c.retardance_span for c in cells]).T
     two_pi = 2.0 * math.pi
     rows = lows + np.mod(rows - lows, two_pi)
     over = rows - highs
@@ -244,7 +243,7 @@ class CompensationRun:
             raise ValueError(f"need 3 or 4 calibration curves, got {len(curves)}")
         # Identity-equivalent start: a full wave per cell keeps an
         # undisturbed link untouched at the first probe.
-        voltages = tuple(voltage_for_retardance(c, 2.0 * math.pi) for c in curves)
+        voltages = tuple(c.full_wave_voltage for c in curves)
         run = cls(config=config, target=target, curves=curves, state=CompensatorState(voltages))
         run.fine_directions = [1] * len(curves)
         return run

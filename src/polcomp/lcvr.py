@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,7 +116,9 @@ class RetardanceCurve:
     ``retardance_errors`` holds NaN where no finite error bar exists
     (clamped arccos arguments and the sweep maximum).  ``fold_count`` is
     recorded by :func:`build_curve`; curves constructed directly (e.g.
-    synthetic ones) may leave it ``None``.
+    synthetic ones) may leave it ``None``.  The three arrays are private
+    read-only copies, so the lookup table a curve builds on its first
+    lookup stays valid; new data makes a new curve.
     """
 
     drive_voltages: np.ndarray
@@ -142,9 +145,67 @@ class RetardanceCurve:
             raise ValueError("drive voltages must be strictly increasing")
         if self.voltage_step == 0.0:
             self.voltage_step = float(np.median(np.diff(self.drive_voltages)))
+        for arr in (self.drive_voltages, self.retardances, self.retardance_errors):
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
         return int(self.drive_voltages.size)
+
+    @property
+    def retardance_span(self) -> tuple[float, float]:
+        """Lowest and highest retardance on the curve."""
+        return self._table.span
+
+    @cached_property
+    def full_wave_voltage(self) -> float:
+        """Drive voltage of one full wave (2 pi) of retardance."""
+        return voltage_for_retardance(self, 2.0 * math.pi)
+
+    @cached_property
+    def _table(self) -> "_LookupTable":
+        # Built on first lookup: the arrays are read-only, so it never goes stale.
+        return _LookupTable.build(self.drive_voltages, self.retardances)
+
+
+@dataclass(frozen=True)
+class _LookupTable:
+    """What every lookup on one curve needs, computed once per curve.
+
+    ``order``/``ranked`` are the stable sort of the retardances and
+    ``head[k]`` is the lowest knot index among those equal to
+    ``ranked[k]``.  ``padded`` is the retardances with a NaN at each end.
+    ``rise`` and ``step`` are the retardance (0 replaced by 1) and voltage
+    increments of each knot interval, and ``slope[i - 1]`` is the slope
+    :func:`curve_slope_at` reports between knots ``i - 1`` and ``i + 1``
+    (the last knot, for ``i = n - 1``).
+    """
+
+    order: np.ndarray
+    ranked: np.ndarray
+    head: np.ndarray
+    padded: np.ndarray
+    rise: np.ndarray
+    step: np.ndarray
+    slope: np.ndarray
+    span: tuple[float, float]
+
+    @classmethod
+    def build(cls, v: np.ndarray, r: np.ndarray) -> "_LookupTable":
+        order = np.argsort(r, kind="stable")
+        ranked = r[order]
+        rise = np.diff(r)
+        i = np.arange(1, r.size)
+        hi = np.minimum(i + 1, r.size - 1)
+        return cls(
+            order=order,
+            ranked=ranked,
+            head=order[np.searchsorted(ranked, ranked)],
+            padded=np.concatenate(([np.nan], r, [np.nan])),
+            rise=np.where(rise == 0.0, 1.0, rise),
+            step=np.diff(v),
+            slope=np.abs((r[hi] - r[i - 1]) / (v[hi] - v[i - 1])),
+            span=(float(ranked[0]), float(ranked[-1])),
+        )
 
 
 def _principal_retardance(v_meas, v_back: float, v_max: float):
@@ -418,34 +479,30 @@ def voltage_for_retardance(
     t = np.asarray(target, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError(f"target retardance must be finite, got {target!r}")
+    table = curve._table
     r = curve.retardances
     v = curve.drive_voltages
-    n = r.size
-    order = np.argsort(r, kind="stable")
-    ranked = r[order]
+    ranked = table.ranked
     # The nearest knot is one of the two sorted neighbours of the target,
     # each taken as the lowest index of its run of equal retardances.
     pos = np.searchsorted(ranked[1:-1], t) + 1  # in [1, n - 1]
-    below = order[np.searchsorted(ranked, ranked[pos - 1])]
-    above = order[pos]
-    gap_below = np.abs(r[below] - t)
-    gap_above = np.abs(r[above] - t)
+    below = table.head[pos - 1]
+    above = table.order[pos]
+    gap_below = np.abs(ranked[pos - 1] - t)
+    gap_above = np.abs(ranked[pos] - t)
     take_below = (gap_below < gap_above) | ((gap_below == gap_above) & (below < above))
     nearest = np.where(take_below, below, above)
     # Refine within the knot interval, before or after it, that brackets
     # the target (NaN padding rules out the intervals past either end).
     offset = r[nearest] - t
-    padded = np.concatenate(([np.nan], r, [np.nan]))
-    use_prev = offset * (padded[nearest] - t) <= 0.0
-    bracketed = use_prev | (offset * (padded[nearest + 2] - t) <= 0.0)
-    lo = np.minimum(nearest - use_prev, n - 2)
-    rise = r[lo + 1] - r[lo]
-    frac = (t - r[lo]) / np.where(rise == 0.0, 1.0, rise)
+    use_prev = offset * (table.padded[nearest] - t) <= 0.0
+    bracketed = use_prev | (offset * (table.padded[nearest + 2] - t) <= 0.0)
+    lo = np.minimum(nearest - use_prev, r.size - 2)
+    frac = (t - r[lo]) / table.rise[lo]
     # At or past either end of the span the nearest knot is that end.
-    on_edge = (t <= ranked[0]) | (t >= ranked[-1])
-    voltage = np.where(
-        bracketed & ~on_edge, v[lo] + frac * (v[lo + 1] - v[lo]), v[nearest]
-    )
+    low, high = table.span
+    on_edge = (t <= low) | (t >= high)
+    voltage = np.where(bracketed & ~on_edge, v[lo] + frac * table.step[lo], v[nearest])
     return float(voltage) if t.ndim == 0 else voltage
 
 
@@ -453,9 +510,6 @@ def curve_slope_at(
     curve: RetardanceCurve, voltage: float | np.ndarray
 ) -> float | np.ndarray:
     """Local |d(retardance)/d(voltage)| near a drive voltage (scalar or array)."""
-    v = curve.drive_voltages
-    r = curve.retardances
-    i = np.searchsorted(v[1:-1], voltage) + 1  # in [1, n - 1]
-    hi = np.minimum(i + 1, v.size - 1)
-    slope = np.abs((r[hi] - r[i - 1]) / (v[hi] - v[i - 1]))
+    i = np.searchsorted(curve.drive_voltages[1:-1], voltage)  # in [0, n - 2]
+    slope = curve._table.slope[i]
     return float(slope) if slope.ndim == 0 else slope

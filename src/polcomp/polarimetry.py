@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -108,10 +109,20 @@ class FourierCoefficients:
     d0: float
 
 
-def _intensity_array(s: StokesVector, phi: np.ndarray) -> np.ndarray:
-    s2 = np.sin(2.0 * phi)
-    c2 = np.cos(2.0 * phi)
+def _intensity_array(s: StokesVector, s2: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Detected intensity given ``sin(2 phi)`` and ``cos(2 phi)``."""
     return 0.5 * (s.s0 + s.s1 * c2 * c2 + s.s2 * s2 * c2 - s.s3 * s2)
+
+
+@lru_cache(maxsize=8)
+def _scan_grid(n_samples: int, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wave-plate angles ``n * step`` with their ``sin(2 phi)`` and
+    ``cos(2 phi)``: computed once per grid and shared, so read-only."""
+    phi = np.arange(n_samples) * step
+    grid = (phi, np.sin(2.0 * phi), np.cos(2.0 * phi))
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
 
 
 def ideal_intensity(s: StokesVector, phi: float) -> float:
@@ -124,7 +135,8 @@ def ideal_intensity(s: StokesVector, phi: float) -> float:
     phi = float(phi)
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    return float(_intensity_array(s, np.asarray(phi)))
+    two_phi = 2.0 * np.asarray(phi)
+    return float(_intensity_array(s, np.sin(two_phi), np.cos(two_phi)))
 
 
 def simulate_scan(
@@ -162,8 +174,8 @@ def simulate_scan(
     if not (math.isfinite(gain) and gain > 0.0):
         raise ValueError(f"gain must be positive, got {gain!r}")
 
-    phi = np.arange(n_samples) * step
-    volts = gain * _intensity_array(s_in, phi)
+    phi, s2, c2 = _scan_grid(n_samples, step)
+    volts = gain * _intensity_array(s_in, s2, c2)
 
     background = 0.0
     drift = 0.0

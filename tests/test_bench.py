@@ -1,12 +1,15 @@
 """Virtual bench: disturbance statistics, the measurement chain against
 a hand-composed oracle, noise plumbing and trial aggregation."""
 
+import dataclasses
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from polcomp import bench
 from polcomp.bench import (
     DEFAULT_SCAN_SAMPLES,
     DEFAULT_SCAN_STEP,
@@ -169,6 +172,31 @@ def test_curve_bias_is_frozen_per_disturbance():
     assert (a.u1, a.u2, a.u3) != (c.u1, c.u2, c.u3)
 
 
+def test_curve_bias_cache_cannot_go_stale():
+    curves = synthetic_curve_set(4)
+    noise = replace(NoiseModel.lab(), retardance_curve_error=0.05)
+    wide = replace(noise, retardance_curve_error=0.1)
+    volts = [(2.0, 3.0, 4.0, 5.0), (6.0, 1.5, 2.5, 3.5), (1.0, 8.0, 2.0, 4.0)]
+
+    def apparatus(seed, model):
+        return VirtualApparatus(disturbance=random_disturbance(seed), curves=curves,
+                                noise=model, seed=seed)
+
+    def alone(seed, model):
+        bench._curve_biases.cache_clear()
+        app = apparatus(seed, model)
+        return [app(v) for v in volts]
+
+    want = {(3, noise): alone(3, noise), (4, noise): alone(4, noise), (3, wide): alone(3, wide)}
+    # The same link under another sigma draws other biases.
+    assert want[3, wide] != want[3, noise]
+    for pair in (((3, noise), (4, noise)), ((3, noise), (3, wide))):
+        apps = [apparatus(*key) for key in pair]
+        for k, v in enumerate(volts):
+            for key, app in zip(pair, apps):
+                assert app(v) == want[key][k]
+
+
 def test_virtual_measure_validates_cell_count():
     curves = synthetic_curve_set(4)
     with pytest.raises(ValueError):
@@ -245,6 +273,29 @@ def test_step_statistics_are_pinned():
         "unreached_99": 0,
         "unreached_995": 0,
     }
+
+
+def _transcript_digest(runs):
+    h = hashlib.sha256()
+    for run in runs:
+        for rec in run.steps:
+            h.update(repr(dataclasses.astuple(rec)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cells, curve_error, digest", [
+    (4, 0.01, "260f06738a54f52bb50580d4845e9c3e97f22ce88543091aff1b436014719b6e"),
+    (3, 0.01, "4884faeb411011bae9c05f7f345616881e448dfca80d785051f879b1134f9908"),
+    # A stale calibration: most steps are fine-phase probes.
+    (4, 0.1, "d8a6688ada74247fe1b7ed88b57e117e19a3f0a3914ee713fc2e7e18952bc052"),
+], ids=["lab-4-cells", "lab-3-cells", "stale-4-cells"])
+def test_full_transcripts_are_pinned(cells, curve_error, digest):
+    # Every recorded float at full precision: a change meant to keep
+    # behaviour (a refactor, a speed-up) must leave this digest alone.
+    noise = replace(NoiseModel.lab(), retardance_curve_error=curve_error)
+    stats = run_trials(60, noise=noise, base_seed=301, keep_runs=True,
+                       curves=synthetic_curve_set(cells))
+    assert _transcript_digest(stats.runs) == digest
 
 
 def test_noise_degrades_convergence_monotonically():

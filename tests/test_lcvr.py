@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from polcomp.bench import synthetic_retardance_curve
 from polcomp.lcvr import (
     CalibrationError,
     CharacterizationSweep,
+    RetardanceCurve,
     UnwrapAmbiguityError,
     build_curve,
     curve_slope_at,
@@ -200,6 +202,36 @@ def test_curve_slope_matches_profile_derivative(clean_sweep):
         h = 1e-4
         true_slope = abs(profile(v + h) - profile(v - h)) / (2 * h)
         assert curve_slope_at(curve, v) == pytest.approx(true_slope, rel=0.02)
+
+
+def test_curve_arrays_are_read_only_copies():
+    v = np.linspace(0.1, 5.0, 50)
+    r = np.linspace(6.0, 1.0, 50)
+    e = np.zeros(50)
+    curve = RetardanceCurve(v, r, e)
+    for arr in (curve.drive_voltages, curve.retardances, curve.retardance_errors):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for arr in (v, r, e):
+        arr[0] = 7.0
+    assert (curve.drive_voltages[0], curve.retardances[0]) == (0.1, 6.0)
+
+
+def test_curve_built_from_another_looks_up_its_own_data():
+    base = synthetic_retardance_curve(index=0)
+    targets = np.array([0.5, 1.0, 2.0, 3.0, 5.5, 8.0])
+    volts = np.array([0.3, 1.0, 2.5, 7.0, 15.0])
+    before = voltage_for_retardance(base, targets)  # base builds its table first
+    # Halving is exact in binary, so each lookup on the half curve must
+    # reproduce the base curve's bit for bit, or have read a stale table.
+    half = RetardanceCurve(base.drive_voltages, 0.5 * base.retardances,
+                           base.retardance_errors, voltage_step=base.voltage_step)
+    assert half.retardance_span == tuple(0.5 * x for x in base.retardance_span)
+    assert np.array_equal(voltage_for_retardance(half, 0.5 * targets), before)
+    assert np.array_equal(curve_slope_at(half, volts), 0.5 * curve_slope_at(base, volts))
+    assert half.full_wave_voltage == voltage_for_retardance(base, 4.0 * math.pi)
+    assert base.full_wave_voltage == voltage_for_retardance(base, 2.0 * math.pi)
+    assert np.array_equal(voltage_for_retardance(base, targets), before)
 
 
 def test_exact_half_wave_voltage_from_bisection():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import rescaled_curve_set, sweep_from_profile
 from polcomp.bench import synthetic_curve_set, synthetic_retardance_curve
 from polcomp.compensation import _solution_family, solve_retardances
-from polcomp.lcvr import build_curve, curve_slope_at, voltage_for_retardance
+from polcomp.lcvr import RetardanceCurve, build_curve, curve_slope_at, voltage_for_retardance
 from polcomp.stokes import NormalizedStokes, mueller_lcvr_triple
 
 _component = st.floats(-1.0, 1.0, allow_nan=False)
@@ -77,8 +77,16 @@ def _reference_solve(u, t, curves):
     return tuple(voltage_for_retardance(c, d) for c, d in zip(curves, row.tolist()))
 
 
+def _plateau(curve):
+    """``curve`` with retardances rounded to 0.05 rad: runs of equal
+    retardances and zero-rise intervals."""
+    return RetardanceCurve(curve.drive_voltages, np.round(curve.retardances / 0.05) * 0.05,
+                           curve.retardance_errors, voltage_step=curve.voltage_step)
+
+
 _SOLVE_CURVES = {
     "synthetic": synthetic_curve_set(3),
+    "plateau": [_plateau(c) for c in synthetic_curve_set(3)],
     "narrow": rescaled_curve_set(3, 0.5 * math.pi, 1.9 * math.pi),
     "unreachable": rescaled_curve_set(3, 0.1 * math.pi, 0.2 * math.pi),
 }
@@ -132,10 +140,16 @@ _NOISY = build_curve(
     sweep_from_profile(np.arange(0.1, 16.005, 0.01), pd_sigma=0.02, n_repeats=3, seed=8)
 )
 
+_PLATEAU = _plateau(_SYNTHETIC)
+
 
 def test_noisy_reference_curve_is_not_monotone():
     steps = np.diff(_NOISY.retardances)
     assert np.any(steps > 0) and np.any(steps < 0)
+
+
+def test_plateau_reference_curve_has_flat_runs():
+    assert np.any(np.diff(_PLATEAU.retardances) == 0.0)
 
 
 def _targets(curve):
@@ -145,7 +159,10 @@ def _targets(curve):
     return st.lists(st.one_of(knots, spread), min_size=1, max_size=40)
 
 
-@pytest.mark.parametrize("curve", [_SYNTHETIC, _NOISY], ids=["synthetic", "noisy"])
+@pytest.mark.parametrize(
+    "curve", [_SYNTHETIC, _NOISY, _PLATEAU], ids=["synthetic", "noisy", "plateau"]
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. 0/0 on a zero-rise interval
 @settings(deadline=None)
 @given(data=st.data())
 def test_array_voltage_lookup_matches_scalar_reference(curve, data):
@@ -158,7 +175,9 @@ def test_array_voltage_lookup_matches_scalar_reference(curve, data):
         assert isinstance(scalar, float) and scalar == voltage
 
 
-@pytest.mark.parametrize("curve", [_SYNTHETIC, _NOISY], ids=["synthetic", "noisy"])
+@pytest.mark.parametrize(
+    "curve", [_SYNTHETIC, _NOISY, _PLATEAU], ids=["synthetic", "noisy", "plateau"]
+)
 @settings(deadline=None)
 @given(data=st.data())
 def test_array_slope_matches_scalar_reference(curve, data):
