@@ -244,7 +244,7 @@ def _quantize(voltages: Sequence[float], quantum: float, curves: Sequence[Retard
     for v, curve in zip(voltages, curves):
         if quantum > 0.0:
             v = round(float(v) / quantum) * quantum
-        lo, hi = curve.drive_voltages[0], curve.drive_voltages[-1]
+        lo, hi = curve.voltage_span
         out.append(float(min(max(v, lo), hi)))
     return out
 

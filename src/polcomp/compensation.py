@@ -63,6 +63,10 @@ _STACK_ANGLES = (0.0, math.pi / 4.0, 0.0, math.pi / 4.0)
 #: First-cell retardances at which the solution family is enumerated;
 #: each yields two exact rows.
 _FAMILY_GRID = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+_FAMILY_COS = np.cos(_FAMILY_GRID)
+_FAMILY_SIN = np.sin(_FAMILY_GRID)
+#: The ``d1`` column of the family: the grid once per sign of ``b3``.
+_FAMILY_D1 = np.tile(_FAMILY_GRID, 2)
 
 #: Weight pulling the fine-tune acceptance baseline toward a losing
 #: reading, so a lucky high one cannot freeze the climb (0 = never
@@ -128,9 +132,8 @@ def _solution_family(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     perp_sq = t2 * t2 + t3 * t3
     if min(u1 * u1, perp_sq) < min(t1 * t1, u2 * u2 + u3 * u3):
         return -_solution_family(t, u)[:, ::-1]
-    d1 = _FAMILY_GRID
-    a2 = np.cos(d1) * u2 + np.sin(d1) * u3
-    a3 = -np.sin(d1) * u2 + np.cos(d1) * u3
+    a2 = _FAMILY_COS * u2 + _FAMILY_SIN * u3
+    a3 = -_FAMILY_SIN * u2 + _FAMILY_COS * u3
     r_sq = u1 * u1 + a3 * a3
     w_sq = np.where(r_sq > perp_sq, perp_sq - a2 * a2, r_sq - t1 * t1)
     w = np.sqrt(np.maximum(w_sq, 0.0))
@@ -138,7 +141,7 @@ def _solution_family(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     a2, a3 = np.tile(a2, 2), np.tile(a3, 2)
     d2 = np.arctan2(b3, t1) - np.arctan2(a3, u1)
     d3 = np.arctan2(b3, a2) - math.atan2(t3, t2)
-    return np.column_stack((np.tile(d1, 2), d2, d3))
+    return np.column_stack((_FAMILY_D1, d2, d3))
 
 
 def solve_retardances(
@@ -366,8 +369,8 @@ def fine_tune_step(
         i = run.fine_index
         direction = run.fine_directions[i]
         v_new = run.state.voltages[i] + direction * _FINE_STEP_V
-        curve = run.curves[i]
-        if curve.drive_voltages[0] <= v_new <= curve.drive_voltages[-1]:
+        lo, hi = run.curves[i].voltage_span
+        if lo <= v_new <= hi:
             break
         # Out of actuation range: treat as a failed direction, no measurement.
         run.fine_directions[i] = -direction

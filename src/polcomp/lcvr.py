@@ -28,6 +28,8 @@ sweep endpoints, where the curve records a missing error bar instead.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -157,6 +159,11 @@ class RetardanceCurve:
         return self._table.span
 
     @cached_property
+    def voltage_span(self) -> tuple[float, float]:
+        """Lowest and highest calibrated drive voltage, as Python floats."""
+        return float(self.drive_voltages[0]), float(self.drive_voltages[-1])
+
+    @cached_property
     def full_wave_voltage(self) -> float:
         """Drive voltage of one full wave (2 pi) of retardance."""
         return voltage_for_retardance(self, 2.0 * math.pi)
@@ -177,7 +184,13 @@ class _LookupTable:
     ``rise`` and ``step`` are the retardance (0 replaced by 1) and voltage
     increments of each knot interval, and ``slope[i - 1]`` is the slope
     :func:`curve_slope_at` reports between knots ``i - 1`` and ``i + 1``
-    (the last knot, for ``i = n - 1``).
+    (the last knot, for ``i = n - 1``).  ``decreasing`` records whether
+    the retardances fall strictly from knot to knot, which lets
+    :func:`voltage_for_retardance` find its interval with one search.
+    ``xs``, ``ys`` and ``dr_dv`` are the knot voltages, the knot
+    retardances and the slope ``dr/dv`` of each interval as arrays of
+    doubles, so the scalar :func:`retardance_for_voltage` reads Python
+    floats and makes no numpy call.
     """
 
     order: np.ndarray
@@ -188,6 +201,10 @@ class _LookupTable:
     step: np.ndarray
     slope: np.ndarray
     span: tuple[float, float]
+    decreasing: bool
+    xs: array
+    ys: array
+    dr_dv: array
 
     @classmethod
     def build(cls, v: np.ndarray, r: np.ndarray) -> "_LookupTable":
@@ -205,6 +222,10 @@ class _LookupTable:
             step=np.diff(v),
             slope=np.abs((r[hi] - r[i - 1]) / (v[hi] - v[i - 1])),
             span=(float(ranked[0]), float(ranked[-1])),
+            decreasing=bool((r[1:] < r[:-1]).all()),
+            xs=array("d", v.tobytes()),
+            ys=array("d", r.tobytes()),
+            dr_dv=array("d", (rise / np.diff(v)).tobytes()),
         )
 
 
@@ -452,13 +473,22 @@ def build_curve(
 
 
 def retardance_for_voltage(curve: RetardanceCurve, voltage: float) -> float:
-    """Piecewise-linear interpolation of the curve at a drive voltage."""
+    """Piecewise-linear interpolation of the curve at a drive voltage.
+
+    The arithmetic is that of ``np.interp``, done on Python floats: a
+    knot returns its own retardance, and a voltage inside an interval
+    ``slope * (voltage - v_j) + r_j``.
+    """
     voltage = float(voltage)
-    lo = float(curve.drive_voltages[0])
-    hi = float(curve.drive_voltages[-1])
+    lo, hi = curve.voltage_span
     if not (lo <= voltage <= hi):
         raise ValueError(f"voltage {voltage!r} outside calibrated span [{lo!r}, {hi!r}]")
-    return float(np.interp(voltage, curve.drive_voltages, curve.retardances))
+    table = curve._table
+    xs = table.xs
+    j = bisect_right(xs, voltage) - 1
+    if j == len(xs) - 1 or xs[j] == voltage:
+        return table.ys[j]
+    return table.dr_dv[j] * (voltage - xs[j]) + table.ys[j]
 
 
 def voltage_for_retardance(
@@ -475,6 +505,10 @@ def voltage_for_retardance(
     target.  Targets outside the curve span clamp to the corresponding
     endpoint voltage, never fatal: the caller decides whether an
     out-of-span target is acceptable before actuating it.
+
+    On a strictly decreasing curve that interval is the one with
+    ``r[lo] > target >= r[lo + 1]`` (a target on knot ``k`` refines in
+    interval ``k - 1`` to its far end), so one search finds it.
     """
     t = np.asarray(target, dtype=float)
     if not np.isfinite(t).all():
@@ -483,6 +517,13 @@ def voltage_for_retardance(
     r = curve.retardances
     v = curve.drive_voltages
     ranked = table.ranked
+    low, high = table.span
+    if table.decreasing:
+        # ranked is r reversed; the search counts the knots at or below t.
+        lo = (r.size - 2) - np.searchsorted(ranked[1:-1], t, side="right")
+        inside = v[lo] + ((t - r[lo]) / table.rise[lo]) * table.step[lo]
+        voltage = np.where(t <= low, v[-1], np.where(t >= high, v[0], inside))
+        return float(voltage) if t.ndim == 0 else voltage
     # The nearest knot is one of the two sorted neighbours of the target,
     # each taken as the lowest index of its run of equal retardances.
     pos = np.searchsorted(ranked[1:-1], t) + 1  # in [1, n - 1]
@@ -500,7 +541,6 @@ def voltage_for_retardance(
     lo = np.minimum(nearest - use_prev, r.size - 2)
     frac = (t - r[lo]) / table.rise[lo]
     # At or past either end of the span the nearest knot is that end.
-    low, high = table.span
     on_edge = (t <= low) | (t >= high)
     voltage = np.where(bracketed & ~on_edge, v[lo] + frac * table.step[lo], v[nearest])
     return float(voltage) if t.ndim == 0 else voltage

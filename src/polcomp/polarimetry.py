@@ -81,11 +81,12 @@ class PolarimeterScan:
         n = self.angles.size
         if n < MIN_SAMPLES:
             raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-        if not (np.all(np.isfinite(self.angles)) and np.all(np.isfinite(self.voltages))):
+        if not (np.isfinite(self.angles).all() and np.isfinite(self.voltages).all()):
             raise ValueError("scan contains non-finite values")
         if not math.isfinite(self.background_voltage) or not math.isfinite(self.offset_alpha):
             raise ValueError("background_voltage and offset_alpha must be finite")
-        if np.any(np.diff(self.angles) <= 0.0):
+        # For finite doubles a[i + 1] - a[i] <= 0 exactly when a[i + 1] <= a[i].
+        if (self.angles[1:] <= self.angles[:-1]).any():
             raise ValueError("angles must be strictly increasing")
         span = float(self.angles[-1] - self.angles[0])
         mean_step = span / (n - 1)
@@ -206,10 +207,11 @@ def extract_coefficients(scan: PolarimeterScan) -> FourierCoefficients:
     v = scan.voltages - scan.background_voltage
     th = scan.angles - scan.offset_alpha
     n = v.size
+    th4 = 4.0 * th
     a0 = 2.0 / n * float(v.sum())
     b0 = 4.0 / n * float((v * np.sin(2.0 * th)).sum())
-    c0 = 4.0 / n * float((v * np.cos(4.0 * th)).sum())
-    d0 = 4.0 / n * float((v * np.sin(4.0 * th)).sum())
+    c0 = 4.0 / n * float((v * np.cos(th4)).sum())
+    d0 = 4.0 / n * float((v * np.sin(th4)).sum())
     return FourierCoefficients(a0, b0, c0, d0)
 
 
@@ -232,6 +234,6 @@ def measure_stokes(scan: PolarimeterScan) -> NormalizedStokes:
     """
     coeffs = extract_coefficients(scan)
     s = stokes_from_coefficients(coeffs)
-    if s.s0 > 0.0:
+    if s.s0 > 0.0 and log.isEnabledFor(logging.DEBUG):
         log.debug("scan DOP estimate: %.6f", degree_of_polarization(s))
     return normalize(s)

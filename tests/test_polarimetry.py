@@ -1,11 +1,13 @@
 """Rotating-waveplate polarimetry: the Fourier analysis against a
 hand-rolled oracle, exactness on uniform grids, and the scan model."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from polcomp import polarimetry
 from polcomp.bench import NoiseModel
 from polcomp.polarimetry import (
     FourierCoefficients,
@@ -16,7 +18,14 @@ from polcomp.polarimetry import (
     simulate_scan,
     stokes_from_coefficients,
 )
-from polcomp.stokes import CARDINAL_STOKES, StokesVector, cardinal_target, fidelity
+from polcomp.stokes import (
+    CARDINAL_STOKES,
+    StokesVector,
+    cardinal_target,
+    degree_of_polarization,
+    fidelity,
+    normalize,
+)
 
 N310 = 310
 STEP310 = 2.0 * math.pi / 310
@@ -183,3 +192,24 @@ def test_scan_rejects_bad_gain_and_step():
         simulate_scan(CARDINAL_STOKES["H"], N310, STEP310, gain=0.0)
     with pytest.raises(ValueError):
         simulate_scan(CARDINAL_STOKES["H"], N310, -STEP310)
+
+
+# --- diagnostics ----------------------------------------------------------------
+
+def test_measure_stokes_logs_dop_only_at_debug(caplog, monkeypatch):
+    scan = simulate_scan(CARDINAL_STOKES["D"], N310, STEP310, noise=NoiseModel.lab(), seed=4)
+    estimate = stokes_from_coefficients(extract_coefficients(scan))
+    with caplog.at_level(logging.DEBUG, logger="polcomp.polarimetry"):
+        measure_stokes(scan)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"scan DOP estimate: {degree_of_polarization(estimate):.6f}"
+    ]
+    caplog.clear()
+
+    # At the default level the estimate is neither computed nor logged.
+    def unexpected(_):
+        raise AssertionError("DOP computed with DEBUG logging off")
+
+    monkeypatch.setattr(polarimetry, "degree_of_polarization", unexpected)
+    assert measure_stokes(scan) == normalize(estimate)
+    assert caplog.records == []

@@ -1,5 +1,6 @@
-"""Property tests: invariants of the retardance solve and the curve lookups,
-checked over generated inputs."""
+"""Property tests: invariants of the retardance solve, the curve lookups,
+retarder inversion, unwrapping and the file formats, checked over
+generated inputs."""
 
 import math
 
@@ -7,14 +8,30 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rescaled_curve_set, sweep_from_profile
+from conftest import profile, rescaled_curve_set, sweep_from_profile
 from polcomp.bench import synthetic_curve_set, synthetic_retardance_curve
 from polcomp.compensation import _solution_family, solve_retardances
-from polcomp.lcvr import RetardanceCurve, build_curve, curve_slope_at, voltage_for_retardance
-from polcomp.stokes import NormalizedStokes, mueller_lcvr_triple
+from polcomp.io import read_curve, read_scan, read_sweep, write_curve, write_scan, write_sweep
+from polcomp.lcvr import (
+    CharacterizationSweep,
+    RetardanceCurve,
+    build_curve,
+    curve_slope_at,
+    retardance_for_voltage,
+    unwrap_retardance,
+    voltage_for_retardance,
+)
+from polcomp.polarimetry import PolarimeterScan
+from polcomp.stokes import (
+    NormalizedStokes,
+    compose,
+    invert_retarder,
+    mueller_lcvr,
+    mueller_lcvr_triple,
+)
 
 _component = st.floats(-1.0, 1.0, allow_nan=False)
 unit_vectors = (
@@ -142,6 +159,15 @@ _NOISY = build_curve(
 
 _PLATEAU = _plateau(_SYNTHETIC)
 
+# Strictly decreasing on knots up to 3x apart in voltage: for the target on
+# knot 4, v[3] + (v[4] - v[3]) rounds away from v[4], so the interval a
+# knot target refines in shows in the result.
+_SPARSE_V = np.geomspace(1e-4, 16.0, 8)
+_SPARSE = RetardanceCurve(_SPARSE_V, profile(_SPARSE_V), np.full(8, np.nan))
+
+_LOOKUP_CURVES = {"synthetic": _SYNTHETIC, "noisy": _NOISY, "plateau": _PLATEAU,
+                  "sparse": _SPARSE}
+
 
 def test_noisy_reference_curve_is_not_monotone():
     steps = np.diff(_NOISY.retardances)
@@ -152,20 +178,34 @@ def test_plateau_reference_curve_has_flat_runs():
     assert np.any(np.diff(_PLATEAU.retardances) == 0.0)
 
 
+def test_only_strictly_decreasing_curves_take_the_one_search_path():
+    assert all(c._table.decreasing for c in synthetic_curve_set(4))
+    assert _SYNTHETIC._table.decreasing and _SPARSE._table.decreasing
+    assert _SPARSE_V[3] + (_SPARSE_V[4] - _SPARSE_V[3]) != _SPARSE_V[4]
+    assert not _NOISY._table.decreasing
+    assert not _PLATEAU._table.decreasing
+
+
+def _with_neighbours(values):
+    """``values`` with the next double below and above each one."""
+    a = np.asarray(values, dtype=float)
+    return np.concatenate((a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf))).tolist()
+
+
 def _targets(curve):
     r = curve.retardances
-    knots = st.sampled_from(r.tolist())
+    knots = st.sampled_from(_with_neighbours(r))
+    ends = st.sampled_from(_with_neighbours([r.min(), r.max()]))
     spread = st.floats(float(r.min()) - 1.0, float(r.max()) + 1.0, allow_nan=False)
-    return st.lists(st.one_of(knots, spread), min_size=1, max_size=40)
+    return st.lists(st.one_of(knots, ends, spread), min_size=1, max_size=40)
 
 
-@pytest.mark.parametrize(
-    "curve", [_SYNTHETIC, _NOISY, _PLATEAU], ids=["synthetic", "noisy", "plateau"]
-)
+@pytest.mark.parametrize("name", list(_LOOKUP_CURVES))
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. 0/0 on a zero-rise interval
 @settings(deadline=None)
 @given(data=st.data())
-def test_array_voltage_lookup_matches_scalar_reference(curve, data):
+def test_array_voltage_lookup_matches_scalar_reference(name, data):
+    curve = _LOOKUP_CURVES[name]
     targets = data.draw(_targets(curve))
     volts = voltage_for_retardance(curve, np.array(targets))
     for k, target in enumerate(targets):
@@ -173,6 +213,53 @@ def test_array_voltage_lookup_matches_scalar_reference(curve, data):
         assert volts[k] == voltage
         scalar = voltage_for_retardance(curve, target)
         assert isinstance(scalar, float) and scalar == voltage
+
+
+@pytest.mark.parametrize("name", list(_LOOKUP_CURVES))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_voltage_lookup_matches_scalar_reference_on_every_knot(name):
+    curve = _LOOKUP_CURVES[name]
+    targets = _with_neighbours(curve.retardances)
+    volts = voltage_for_retardance(curve, np.array(targets))
+    assert volts.tolist() == [_reference_voltage(curve, t) for t in targets]
+
+
+# --- scalar interpolation against np.interp -----------------------------------------
+
+# Knots 5e-310 V apart: the slope of that interval overflows to -inf, so
+# only the knot test keeps the lookup at the first knot finite.
+_STEEP = RetardanceCurve([0.0, 5e-310, 1.0, 2.0], [3.0, 1.0, 0.5, 0.5], [np.nan] * 4)
+_INTERP_CURVES = {**_LOOKUP_CURVES, "steep": _STEEP}
+
+
+def _assert_interp_matches(curve, voltages):
+    v, r = curve.drive_voltages, curve.retardances
+    for x in voltages:
+        got = retardance_for_voltage(curve, x)
+        assert isinstance(got, float) and got == float(np.interp(x, v, r)), x
+
+
+@pytest.mark.parametrize("name", list(_INTERP_CURVES))
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the steep curve's slope
+def test_scalar_interpolation_matches_np_interp_on_every_knot(name):
+    curve = _INTERP_CURVES[name]
+    lo, hi = curve.voltage_span
+    assert (lo, hi) == (curve.drive_voltages[0], curve.drive_voltages[-1])
+    _assert_interp_matches(curve, [x for x in _with_neighbours(curve.drive_voltages)
+                                   if lo <= x <= hi])
+    for outside in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+        with pytest.raises(ValueError, match="outside calibrated span"):
+            retardance_for_voltage(curve, outside)
+
+
+@pytest.mark.parametrize("name", list(_INTERP_CURVES))
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@settings(deadline=None)
+@given(data=st.data())
+def test_scalar_interpolation_matches_np_interp(name, data):
+    curve = _INTERP_CURVES[name]
+    lo, hi = curve.voltage_span
+    _assert_interp_matches(curve, data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=40)))
 
 
 @pytest.mark.parametrize(
@@ -191,3 +278,137 @@ def test_array_slope_matches_scalar_reference(curve, data):
     for k, volt in enumerate(volts):
         assert slopes[k] == _reference_slope(curve, volt)
         assert curve_slope_at(curve, volt) == _reference_slope(curve, volt)
+
+
+# --- retarder inversion, unwrapping and file round trips -----------------------------
+
+_angle = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@given(st.lists(st.tuples(_angle, _angle), min_size=1, max_size=6))
+def test_inverted_retarder_stack_gives_identity(cells):
+    m = compose([mueller_lcvr(theta, delta) for theta, delta in cells])
+    assert np.max(np.abs(invert_retarder(m) @ m - np.eye(4))) <= 1e-12
+
+
+def _near_a_branch_boundary(x):
+    return abs(x - math.pi * round(x / math.pi)) < 0.3
+
+
+@settings(deadline=None)
+@example(top=math.pi / 2, depth=7.01953125, knee=1.0, power=1.5, n=344, rising=True)
+@given(
+    top=st.floats(0.5 * math.pi, 3.5 * math.pi),
+    depth=st.floats(0.5, 3.0 * math.pi),
+    knee=st.floats(1.0, 4.0),
+    power=st.floats(1.5, 3.0),
+    n=st.integers(300, 800),
+    rising=st.booleans(),
+)
+def test_unwrap_round_trips_monotone_profiles(top, depth, knee, power, n, rising):
+    """A monotone LCVR-like profile folded by the arccos comes back on the
+    branch of its first sample.
+
+    A flip can land one sample off its fold (the example above puts a
+    sample 5e-4 rad below 2 pi on the far side), so a sample may come back
+    mirrored about its nearest boundary: off by twice its distance to it.
+    """
+    v = np.linspace(0.1, 16.0, n)
+    shape = 1.0 / (1.0 + (v / knee) ** power)
+    true = top - depth * (shape[0] - shape) / (shape[0] - shape[-1])
+    if rising:
+        true = true[::-1]
+    # A fold at either end of the sequence cannot be confirmed.
+    assume(not (_near_a_branch_boundary(true[0]) or _near_a_branch_boundary(true[-1])))
+    assume(np.max(np.abs(np.diff(true))) < 0.25)  # a sample lands near every fold
+    raw = np.arccos(np.cos(true))
+    out = unwrap_retardance(raw)
+    assert out[0] == raw[0]
+    np.testing.assert_allclose(np.cos(out), np.cos(raw), rtol=0, atol=1e-12)
+    sign = 1.0 if math.sin(true[0]) > 0.0 else -1.0
+    error = np.abs(out - (raw[0] + sign * (true - true[0])))
+    assert np.all(error <= 2.0 * np.minimum(raw, math.pi - raw) + 1e-9)
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def _increasing(draw, n, lo, hi):
+    """``n`` strictly increasing doubles drawn from ``[lo, hi]``."""
+    xs = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n, unique=True))
+    return np.sort(np.array(xs))
+
+
+@st.composite
+def sweeps(draw):
+    n = draw(st.integers(10, 30))
+    return CharacterizationSweep(
+        drive_voltages=_increasing(draw, n, 0.0, 20.0),
+        mean_pd_voltages=draw(st.lists(_finite, min_size=n, max_size=n)),
+        pd_voltage_sems=draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+        background_voltage=draw(_finite),
+        background_sem=draw(st.floats(0.0, 1.0)),
+    )
+
+
+@st.composite
+def curves(draw):
+    n = draw(st.integers(2, 30))
+    return RetardanceCurve(
+        drive_voltages=_increasing(draw, n, 0.0, 20.0),
+        retardances=draw(st.lists(_finite, min_size=n, max_size=n)),
+        retardance_errors=draw(st.lists(st.one_of(st.just(math.nan), st.floats(0.0, 1.0)),
+                                        min_size=n, max_size=n)),
+        wavelength_nm=draw(st.one_of(st.none(), st.floats(400.0, 1600.0))),
+        fold_count=draw(st.one_of(st.none(), st.integers(0, 5))),
+    )
+
+
+@st.composite
+def scans(draw):
+    n = draw(st.integers(16, 64))
+    step = 2.0 * math.pi / (n - 1)
+    jitter = draw(st.lists(st.floats(-0.2 * step, 0.2 * step), min_size=n, max_size=n))
+    return PolarimeterScan(
+        angles=np.arange(n) * step + np.array(jitter) + draw(st.floats(-1.0, 1.0)),
+        voltages=draw(st.lists(_finite, min_size=n, max_size=n)),
+        background_voltage=draw(_finite),
+        offset_alpha=draw(st.floats(-math.pi, math.pi)),
+    )
+
+
+@settings(deadline=None)
+@given(sweep=sweeps())
+def test_sweep_csv_round_trip(tmp_path_factory, sweep):
+    path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+    write_sweep(path, sweep)
+    back = read_sweep(path)
+    for name in ("drive_voltages", "mean_pd_voltages", "pd_voltage_sems"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(sweep, name))
+    assert (back.background_voltage, back.background_sem) == (
+        sweep.background_voltage, sweep.background_sem)
+
+
+@settings(deadline=None)
+@given(curve=curves())
+def test_curve_csv_round_trip(tmp_path_factory, curve):
+    path = tmp_path_factory.mktemp("curve") / "curve.csv"
+    write_curve(path, curve)
+    back = read_curve(path)
+    for name in ("drive_voltages", "retardances", "retardance_errors"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(curve, name))
+    for name in ("voltage_step", "wavelength_nm", "fold_count"):
+        assert getattr(back, name) == getattr(curve, name)
+
+
+@settings(deadline=None)
+@given(scan=scans())
+def test_scan_csv_round_trip(tmp_path_factory, scan):
+    """Voltages come back exactly; angles pass through degrees in the file."""
+    path = tmp_path_factory.mktemp("scan") / "scan.csv"
+    write_scan(path, scan)
+    back = read_scan(path)
+    np.testing.assert_allclose(back.angles, scan.angles, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(back.voltages, scan.voltages)
+    assert back.background_voltage == scan.background_voltage
+    assert back.offset_alpha == pytest.approx(scan.offset_alpha, rel=0, abs=1e-15)
