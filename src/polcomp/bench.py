@@ -36,10 +36,10 @@ from .stokes import (
     CARDINAL_STOKES,
     NormalizedStokes,
     StokesVector,
-    apply,
+    _lcvr_rows,
+    _retarder_block,
+    _rotate,
     cardinal_target,
-    compose,
-    mueller_lcvr,
 )
 
 __all__ = [
@@ -126,10 +126,22 @@ class NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class FiberDisturbance:
-    """One static polarization rotation of the link, with its seed."""
+    """One static polarization rotation of the link, with its seed.
+
+    ``mueller`` must be a pure retarder: anything else (a polarizer, a
+    depolarizer) raises :class:`~polcomp.stokes.NonRetarderError`, since
+    the bench turns only the polarized part ``(S1, S2, S3)`` through it.
+    It is copied and read-only after construction, so it stays checked.
+    """
 
     mueller: np.ndarray
     seed: int
+
+    def __post_init__(self) -> None:
+        m = np.array(self.mueller, dtype=float)
+        _retarder_block(m)
+        m.flags.writeable = False
+        object.__setattr__(self, "mueller", m)
 
 
 def random_disturbance(seed: int) -> FiberDisturbance:
@@ -140,21 +152,20 @@ def random_disturbance(seed: int) -> FiberDisturbance:
     Euler-angle draw would show.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _TAG_DISTURBANCE]))
-    u1, u2, u3 = rng.uniform(0.0, 1.0, 3)
+    u1, u2, u3 = rng.uniform(0.0, 1.0, 3).tolist()
     a, b = math.sqrt(1.0 - u1), math.sqrt(u1)
     x = a * math.sin(2.0 * math.pi * u2)
     y = a * math.cos(2.0 * math.pi * u2)
     z = b * math.sin(2.0 * math.pi * u3)
     w = b * math.cos(2.0 * math.pi * u3)
-    rot = np.array(
+    m = np.array(
         [
-            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+            [0.0, 2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+            [0.0, 2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
         ]
     )
-    m = np.eye(4)
-    m[1:, 1:] = rot
     return FiberDisturbance(mueller=m, seed=int(seed))
 
 
@@ -289,14 +300,14 @@ def virtual_measure(
         raise ValueError(f"stack must have 3 or 4 cells, got {len(curves)}")
     applied = _quantize(compensator_voltages, noise.voltage_quantum_v, curves)
     biases = _curve_biases(disturbance.seed, noise.retardance_curve_error, len(curves))
-    elements = [disturbance.mueller]
+    # Pure rotations: S0 passes through, (S1, S2, S3) turns element by element.
+    s = (true_source.s1, true_source.s2, true_source.s3)
+    s = _rotate(disturbance.mueller[1:, 1:].tolist(), s)
     for i, (v, curve) in enumerate(zip(applied, curves)):
         delta = retardance_for_voltage(curve, v) + biases[i]
-        elements.append(mueller_lcvr(_STACK_ANGLES[i], delta))
-    s_out = apply(compose(elements), true_source)
-    scan = simulate_scan(
-        s_out, DEFAULT_SCAN_SAMPLES, DEFAULT_SCAN_STEP, noise=noise, seed=seed
-    )
+        s = _rotate(_lcvr_rows(_STACK_ANGLES[i], delta), s)
+    s_out = StokesVector(true_source.s0, *s)
+    scan = simulate_scan(s_out, DEFAULT_SCAN_SAMPLES, DEFAULT_SCAN_STEP, noise=noise, seed=seed)
     return measure_stokes(scan)
 
 

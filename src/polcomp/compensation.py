@@ -31,11 +31,12 @@ import numpy as np
 from .lcvr import RetardanceCurve, curve_slope_at, retardance_for_voltage, voltage_for_retardance
 from .stokes import (
     NormalizedStokes,
+    StokesVector,
+    _lcvr_rows,
+    _rotate,
+    _triple_rows,
     fidelity,
-    invert_retarder,
-    mueller_lcvr,
-    mueller_lcvr_triple,
-    transform_normalized,
+    normalize,
 )
 
 __all__ = [
@@ -100,14 +101,18 @@ class LoopConfig:
             raise ValueError("step budgets must allow at least the coarse phase")
 
 
+def _unrotate(rows, u: NormalizedStokes) -> NormalizedStokes:
+    """``u`` turned back through the rotation block ``rows`` (its transpose)."""
+    return normalize(StokesVector(1.0, *_rotate(rows, (u.u1, u.u2, u.u3), inverse=True)))
+
+
 def infer_disturbed(s_meas: NormalizedStokes, current: Sequence[float]) -> NormalizedStokes:
     """State at the compensator input, given what was measured behind the
     three solving cells at retardances ``current``."""
-    m_inv = invert_retarder(mueller_lcvr_triple(*current))
-    return transform_normalized(m_inv, s_meas)
+    return _unrotate(_triple_rows(*current), s_meas)
 
 
-def _solution_family(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _solution_family(u: Sequence[float], t: Sequence[float]) -> np.ndarray:
     """Every exact ``(d1, d2, d3)`` on the free-angle grid, shape ``(2N, 3)``.
 
     Cell 1 turns ``u`` about S1 by ``d1`` into ``(u1, a2, a3)``.  Cell 2
@@ -162,7 +167,9 @@ def solve_retardances(
     row is reachable, the one least outside the spans is picked, and its
     lookup clamps each out-of-span component to the end voltage.
     """
-    rows = _solution_family(s_dis.as_array(), s_target.as_array())
+    rows = _solution_family(
+        (s_dis.u1, s_dis.u2, s_dis.u3), (s_target.u1, s_target.u2, s_target.u3)
+    )
     cells = curves[:3]
     lows, highs = np.array([c.retardance_span for c in cells]).T
     two_pi = 2.0 * math.pi
@@ -334,9 +341,9 @@ def coarse_step(
     best = run.best
     seen, target_eff = NormalizedStokes(*best.stokes), target
     if len(best.retardances) == 4:
-        m4_inv = invert_retarder(mueller_lcvr(_STACK_ANGLES[3], best.retardances[3]))
-        seen = transform_normalized(m4_inv, seen)
-        target_eff = transform_normalized(m4_inv, target)
+        rows4 = _lcvr_rows(_STACK_ANGLES[3], best.retardances[3])
+        seen = _unrotate(rows4, seen)
+        target_eff = _unrotate(rows4, target)
     s_dis = infer_disturbed(seen, best.retardances[:3])
     solved = solve_retardances(s_dis, target_eff, curves[:3])
     run.state = CompensatorState((*solved, *best.voltages[3:]))

@@ -340,9 +340,12 @@ def _choose_flip(
 ) -> int:
     """Flip position (between j and j+1) minimizing local second differences.
 
-    Noise-free data is rebuilt exactly: every sample keeps its true
-    branch because any off-by-one flip adds a kink whose cost strictly
-    exceeds the smooth baseline.
+    The choice is local, so even noise-free data is not always rebuilt
+    exactly: the flip can land one sample off its fold, and that sample
+    comes back mirrored about the branch boundary.  Each rebuilt sample
+    stays within twice its distance to the nearest boundary of its true
+    value.  A global fold placement would make the rebuild exact (ROADMAP
+    item 4).
     """
     two_pi = 2.0 * math.pi
     s2, k2 = _flipped_branch(s, k, boundary)

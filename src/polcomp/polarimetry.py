@@ -110,17 +110,25 @@ class FourierCoefficients:
     d0: float
 
 
-def _intensity_array(s: StokesVector, s2: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Detected intensity given ``sin(2 phi)`` and ``cos(2 phi)``."""
-    return 0.5 * (s.s0 + s.s1 * c2 * c2 + s.s2 * s2 * c2 - s.s3 * s2)
+def _intensity_array(s: StokesVector, s2, c2c2, s2c2, gain: float = 1.0):
+    """Detected intensity times ``gain``, given ``sin(2 phi)``,
+    ``cos^2(2 phi)`` and ``sin(2 phi) cos(2 phi)``.
+
+    The factors fold into the four scalar weights, so an array input
+    costs one product per harmonic and three sums.
+    """
+    h = 0.5 * gain
+    return h * s.s0 + (h * s.s1) * c2c2 + (h * s.s2) * s2c2 - (h * s.s3) * s2
 
 
 @lru_cache(maxsize=8)
-def _scan_grid(n_samples: int, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wave-plate angles ``n * step`` with their ``sin(2 phi)`` and
-    ``cos(2 phi)``: computed once per grid and shared, so read-only."""
+def _scan_grid(n_samples: int, step: float) -> tuple[np.ndarray, ...]:
+    """Wave-plate angles ``n * step`` with their ``sin(2 phi)``,
+    ``cos^2(2 phi)`` and ``sin(2 phi) cos(2 phi)``: computed once per grid
+    and shared, so read-only."""
     phi = np.arange(n_samples) * step
-    grid = (phi, np.sin(2.0 * phi), np.cos(2.0 * phi))
+    s2, c2 = np.sin(2.0 * phi), np.cos(2.0 * phi)
+    grid = (phi, s2, c2 * c2, s2 * c2)
     for arr in grid:
         arr.flags.writeable = False
     return grid
@@ -136,8 +144,8 @@ def ideal_intensity(s: StokesVector, phi: float) -> float:
     phi = float(phi)
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    two_phi = 2.0 * np.asarray(phi)
-    return float(_intensity_array(s, np.sin(two_phi), np.cos(two_phi)))
+    s2, c2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
+    return float(_intensity_array(s, s2, c2 * c2, s2 * c2))
 
 
 def simulate_scan(
@@ -175,17 +183,17 @@ def simulate_scan(
     if not (math.isfinite(gain) and gain > 0.0):
         raise ValueError(f"gain must be positive, got {gain!r}")
 
-    phi, s2, c2 = _scan_grid(n_samples, step)
-    volts = gain * _intensity_array(s_in, s2, c2)
+    phi, s2, c2c2, s2c2 = _scan_grid(n_samples, step)
+    volts = _intensity_array(s_in, s2, c2c2, s2c2, gain)
 
     background = 0.0
     drift = 0.0
     if noise is not None:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x5CA9]))
         background = float(noise.background_v)
-        volts = volts + background
+        volts += background
         if noise.pd_sigma > 0.0:
-            volts = volts + rng.normal(0.0, noise.pd_sigma, n_samples)
+            volts += rng.normal(0.0, noise.pd_sigma, n_samples)
         if noise.angle_jitter_sigma > 0.0:
             drift = float(rng.normal(0.0, noise.angle_jitter_sigma))
 
@@ -205,13 +213,14 @@ def extract_coefficients(scan: PolarimeterScan) -> FourierCoefficients:
     they remain the standard estimator.
     """
     v = scan.voltages - scan.background_voltage
-    th = scan.angles - scan.offset_alpha
+    th2 = 2.0 * (scan.angles - scan.offset_alpha)
     n = v.size
-    th4 = 4.0 * th
+    s, c = np.sin(th2), np.cos(th2)
     a0 = 2.0 / n * float(v.sum())
-    b0 = 4.0 / n * float((v * np.sin(2.0 * th)).sum())
-    c0 = 4.0 / n * float((v * np.cos(th4)).sum())
-    d0 = 4.0 / n * float((v * np.sin(th4)).sum())
+    b0 = 4.0 / n * float((v * s).sum())
+    # cos 4th = c^2 - s^2 and sin 4th = 2 s c: one pair of trig arrays.
+    c0 = 4.0 / n * float((v * (c * c - s * s)).sum())
+    d0 = 8.0 / n * float((v * (s * c)).sum())
     return FourierCoefficients(a0, b0, c0, d0)
 
 

@@ -112,10 +112,10 @@ class NormalizedStokes:
     u3: float
 
     def __post_init__(self) -> None:
-        comps = (self.u1, self.u2, self.u3)
-        if not all(math.isfinite(c) for c in comps):
-            raise ValueError(f"non-finite components: {comps}")
-        norm = math.sqrt(sum(c * c for c in comps))
+        u1, u2, u3 = self.u1, self.u2, self.u3
+        if not (math.isfinite(u1) and math.isfinite(u2) and math.isfinite(u3)):
+            raise ValueError(f"non-finite components: {(u1, u2, u3)}")
+        norm = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"not unit-norm: |u| = {norm!r}")
 
@@ -201,6 +201,52 @@ def mueller_pbs() -> MuellerMatrix:
     return m
 
 
+def _embed(rows) -> MuellerMatrix:
+    """The 4x4 retarder whose 3x3 rotation block is ``rows``."""
+    m = np.eye(4)
+    m[1:, 1:] = rows
+    return m
+
+
+def _rotate(rows, v, inverse: bool = False) -> tuple[float, float, float]:
+    """Apply a 3x3 block (``inverse``: its transpose) to ``(x, y, z)``."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    x, y, z = v
+    if inverse:
+        return (a * x + d * y + g * z, b * x + e * y + h * z, c * x + f * y + i * z)
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+
+
+def _lcvr_rows(theta: float, delta: float) -> tuple:
+    """Rotation block of :func:`mueller_lcvr` as nested tuples of floats."""
+    theta = _check_angle(theta, "theta")
+    delta = _check_angle(delta, "delta")
+    c = math.cos(2.0 * theta)
+    s = math.sin(2.0 * theta)
+    cd = math.cos(delta)
+    sd = math.sin(delta)
+    return (
+        (c * c + s * s * cd, c * s * (1.0 - cd), -s * sd),
+        (c * s * (1.0 - cd), c * c * cd + s * s, c * sd),
+        (s * sd, -c * sd, cd),
+    )
+
+
+def _triple_rows(d1: float, d2: float, d3: float) -> tuple:
+    """Rotation block of :func:`mueller_lcvr_triple` as nested tuples of floats."""
+    d1 = _check_angle(d1, "d1")
+    d2 = _check_angle(d2, "d2")
+    d3 = _check_angle(d3, "d3")
+    c1, s1 = math.cos(d1), math.sin(d1)
+    c2, s2 = math.cos(d2), math.sin(d2)
+    c3, s3 = math.cos(d3), math.sin(d3)
+    return (
+        (c2, s1 * s2, -c1 * s2),
+        (s2 * s3, c1 * c3 - c2 * s1 * s3, c3 * s1 + c1 * c2 * s3),
+        (c3 * s2, -c2 * c3 * s1 - c1 * s3, -s1 * s3 + c1 * c2 * c3),
+    )
+
+
 def mueller_lcvr(theta: float, delta: float) -> MuellerMatrix:
     """Mueller matrix of a linear retarder (liquid-crystal variable retarder).
 
@@ -217,20 +263,7 @@ def mueller_lcvr(theta: float, delta: float) -> MuellerMatrix:
     ``mueller_lcvr(phi, pi)`` equals :func:`mueller_hwp`\\ ``(phi)`` up to
     floating-point roundoff in the structural zeros.
     """
-    theta = _check_angle(theta, "theta")
-    delta = _check_angle(delta, "delta")
-    c = math.cos(2.0 * theta)
-    s = math.sin(2.0 * theta)
-    cd = math.cos(delta)
-    sd = math.sin(delta)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, c * c + s * s * cd, c * s * (1.0 - cd), -s * sd],
-            [0.0, c * s * (1.0 - cd), c * c * cd + s * s, c * sd],
-            [0.0, s * sd, -c * sd, cd],
-        ]
-    )
+    return _embed(_lcvr_rows(theta, delta))
 
 
 def mueller_lcvr_triple(d1: float, d2: float, d3: float) -> MuellerMatrix:
@@ -238,23 +271,10 @@ def mueller_lcvr_triple(d1: float, d2: float, d3: float) -> MuellerMatrix:
 
     Equals ``compose([mueller_lcvr(0, d1), mueller_lcvr(pi/4, d2),
     mueller_lcvr(0, d3)])`` to machine precision.  The compensation loop
-    inverts it to infer the state entering the stack
-    (:func:`polcomp.compensation.infer_disturbed`).
+    applies the transpose of its rotation block to infer the state
+    entering the stack (:func:`polcomp.compensation.infer_disturbed`).
     """
-    d1 = _check_angle(d1, "d1")
-    d2 = _check_angle(d2, "d2")
-    d3 = _check_angle(d3, "d3")
-    c1, s1 = math.cos(d1), math.sin(d1)
-    c2, s2 = math.cos(d2), math.sin(d2)
-    c3, s3 = math.cos(d3), math.sin(d3)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, c2, s1 * s2, -c1 * s2],
-            [0.0, s2 * s3, c1 * c3 - c2 * s1 * s3, c3 * s1 + c1 * c2 * s3],
-            [0.0, c3 * s2, -c2 * c3 * s1 - c1 * s3, -s1 * s3 + c1 * c2 * c3],
-        ]
-    )
+    return _embed(_triple_rows(d1, d2, d3))
 
 
 def compose(elements) -> MuellerMatrix:
@@ -283,32 +303,46 @@ def apply(m: MuellerMatrix, s: StokesVector) -> StokesVector:
     return StokesVector.from_array(m @ s.as_array())
 
 
-def invert_retarder(m: MuellerMatrix) -> MuellerMatrix:
-    """Invert a pure retarder by transposing its 3x3 rotation block.
+def _retarder_block(m: MuellerMatrix) -> tuple:
+    """The 3x3 rotation block of a pure retarder as nested tuples of
+    floats, after checking its structure.
 
     Raises
     ------
     NonRetarderError
         If the first row/column is not ``(1, 0, 0, 0)`` or the lower
-        3x3 block is not orthogonal within ``RETARDER_STRUCTURE_TOL``.
-        Projective elements such as the PBS are rejected.
+        3x3 block is not orthogonal within ``RETARDER_STRUCTURE_TOL``
+        (non-finite entries fail both).  Projective elements such as the
+        PBS are rejected.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise ValueError(f"expected 4x4 Mueller matrix, got shape {m.shape}")
-    edge = np.zeros(7)
-    edge[0] = m[0, 0] - 1.0
-    edge[1:4] = m[0, 1:]
-    edge[4:7] = m[1:, 0]
-    if np.max(np.abs(edge)) > RETARDER_STRUCTURE_TOL:
+    (m00, m01, m02, m03), (m10, a, b, c), (m20, d, e, f), (m30, g, h, i) = m.tolist()
+    within = RETARDER_STRUCTURE_TOL.__ge__
+    if not all(map(within, map(abs, (m00 - 1.0, m01, m02, m03, m10, m20, m30)))):
         raise NonRetarderError("first row/column is not (1, 0, 0, 0)")
-    block = m[1:, 1:]
-    defect = block @ block.T - np.eye(3)
-    if np.max(np.abs(defect)) > RETARDER_STRUCTURE_TOL:
+    # block @ block.T - I, which is symmetric: the diagonal and one triangle.
+    defect = (
+        a * a + b * b + c * c - 1.0,
+        d * d + e * e + f * f - 1.0,
+        g * g + h * h + i * i - 1.0,
+        a * d + b * e + c * f,
+        a * g + b * h + c * i,
+        d * g + e * h + f * i,
+    )
+    if not all(map(within, map(abs, defect))):
         raise NonRetarderError("3x3 block is not orthogonal; cannot invert by transpose")
-    out = np.eye(4)
-    out[1:, 1:] = block.T
-    return out
+    return (a, b, c), (d, e, f), (g, h, i)
+
+
+def invert_retarder(m: MuellerMatrix) -> MuellerMatrix:
+    """Invert a pure retarder by transposing its 3x3 rotation block.
+
+    Raises :class:`NonRetarderError` for anything but a pure retarder
+    (see :func:`_retarder_block`).
+    """
+    return _embed(tuple(zip(*_retarder_block(m))))
 
 
 def transform_normalized(m: MuellerMatrix, u: NormalizedStokes) -> NormalizedStokes:
@@ -324,13 +358,15 @@ def fidelity(a: NormalizedStokes, b: NormalizedStokes) -> float:
     Inputs must be unit-norm within ``UNIT_NORM_TOL``; the result is
     clamped to [0, 1] to absorb last-ulp rounding.
     """
-    va = a.as_array()
-    vb = b.as_array()
-    for name, v in (("a", va), ("b", vb)):
-        norm = float(np.linalg.norm(v))
+    a1, a2, a3 = a.u1, a.u2, a.u3
+    b1, b2, b3 = b.u1, b.u2, b.u3
+    for name, norm in (
+        ("a", math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)),
+        ("b", math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)),
+    ):
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"{name} is not normalized: |{name}| = {norm!r}")
-    f = 0.5 * (1.0 + float(va @ vb))
+    f = 0.5 * (1.0 + float(a1 * b1 + a2 * b2 + a3 * b3))
     return min(1.0, max(0.0, f))
 
 

@@ -26,10 +26,12 @@ from polcomp.bench import (
 from polcomp.lcvr import retardance_for_voltage
 from polcomp.stokes import (
     CARDINAL_STOKES,
+    NonRetarderError,
     apply,
     cardinal_target,
     fidelity,
     mueller_lcvr,
+    mueller_pbs,
     normalize,
 )
 
@@ -63,6 +65,30 @@ def test_disturbance_is_a_sphere_rotation():
         block = m[1:, 1:]
         np.testing.assert_allclose(block @ block.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(block) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mueller", [mueller_pbs(), np.diag([1.0, 0.5, 0.5, 0.5])],
+                         ids=["pbs", "depolarizer"])
+def test_disturbance_must_be_a_pure_retarder(mueller):
+    # The bench turns only (S1, S2, S3) through the link, so a polarizer or
+    # depolarizer would be silently dropped rather than simulated.
+    with pytest.raises(NonRetarderError):
+        FiberDisturbance(mueller=mueller, seed=0)
+
+
+def test_identity_and_random_disturbances_are_accepted():
+    FiberDisturbance(mueller=np.eye(4), seed=0)
+    for seed in range(100):
+        FiberDisturbance(mueller=random_disturbance(seed).mueller, seed=seed)
+
+
+def test_disturbance_cannot_be_edited_past_its_check():
+    given = np.eye(4)
+    dist = FiberDisturbance(mueller=given, seed=0)
+    with pytest.raises(ValueError):
+        dist.mueller[0, 1] = 0.5
+    given[0, 1] = 0.5  # the caller's array stays theirs
+    assert dist.mueller[0, 1] == 0.0
 
 
 def test_disturbance_covers_the_sphere_uniformly():
@@ -283,19 +309,55 @@ def _transcript_digest(runs):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("cells, curve_error, digest", [
-    (4, 0.01, "260f06738a54f52bb50580d4845e9c3e97f22ce88543091aff1b436014719b6e"),
-    (3, 0.01, "4884faeb411011bae9c05f7f345616881e448dfca80d785051f879b1134f9908"),
-    # A stale calibration: most steps are fine-phase probes.
-    (4, 0.1, "d8a6688ada74247fe1b7ed88b57e117e19a3f0a3914ee713fc2e7e18952bc052"),
-], ids=["lab-4-cells", "lab-3-cells", "stale-4-cells"])
-def test_full_transcripts_are_pinned(cells, curve_error, digest):
-    # Every recorded float at full precision: a change meant to keep
-    # behaviour (a refactor, a speed-up) must leave this digest alone.
+def _decision_digest(runs, quantum):
+    """Why each run stopped and, per step, its phase and the drive voltages
+    the bench applies (in controller quanta): the loop's decisions, blind
+    to the last bits of every float."""
+    h = hashlib.sha256()
+    for run in runs:
+        h.update(repr(run.reason).encode())
+        for rec in run.steps:
+            applied = tuple(round(v / quantum) for v in rec.voltages)
+            h.update(repr((rec.step, rec.phase, applied)).encode())
+    return h.hexdigest()
+
+
+_PINNED_CONFIGS = [(4, 0.01), (3, 0.01), (4, 0.1)]  # the last: a stale calibration
+_PINNED_IDS = ["lab-4-cells", "lab-3-cells", "stale-4-cells"]
+
+
+def _pinned_runs(cells, curve_error):
     noise = replace(NoiseModel.lab(), retardance_curve_error=curve_error)
     stats = run_trials(60, noise=noise, base_seed=301, keep_runs=True,
                        curves=synthetic_curve_set(cells))
-    assert _transcript_digest(stats.runs) == digest
+    return stats.runs, noise
+
+
+@pytest.mark.parametrize("config, digest", zip(_PINNED_CONFIGS, [
+    "2366bdbf0725d287796c7d5c2d358831cc7c64fbe038d247fe397fcb82f275db",
+    "8fb1838ee3e99db3e04d6a0c179ff49a7ce593614eccdbfaf1c626a10f26b32a",
+    "771511af5be506f876af6d366c7502a09d8bd39a32e199878c0b000cd03442d1",
+]), ids=_PINNED_IDS)
+def test_decisions_are_pinned(config, digest):
+    # Behaviour: every stop reason, phase and applied voltage.  A change
+    # that moves only float rounding leaves this digest alone; a change of
+    # seeds, draw order, thresholds or step rules moves it.
+    runs, noise = _pinned_runs(*config)
+    assert _decision_digest(runs, noise.voltage_quantum_v) == digest
+
+
+@pytest.mark.parametrize("config, digest", zip(_PINNED_CONFIGS, [
+    "be1bfe6fdceaca8c1a89eea6868d107865ad9ebf4f42c10fab20b4467fe08788",
+    "d6e9de6e91baeec2c9cfd47b468ef22e74e63206e35796974e2ac48b333c0ea8",
+    "ad04e53e830646002e9a9d087c0295307e0335bcca37655be08598f587ddae81",
+]), ids=_PINNED_IDS)
+def test_full_transcripts_are_pinned(config, digest):
+    # Bits: every recorded float at full precision.  A bit-identical change
+    # (a refactor, a lookup speed-up) leaves this digest alone; one that
+    # reorders float operations re-pins it once and must still pass
+    # test_decisions_are_pinned unedited.
+    runs, _ = _pinned_runs(*config)
+    assert _transcript_digest(runs) == digest
 
 
 def test_noise_degrades_convergence_monotonically():

@@ -1,6 +1,7 @@
 """Property tests: invariants of the retardance solve, the curve lookups,
-retarder inversion, unwrapping and the file formats, checked over
-generated inputs."""
+retarder inversion, the 3-vector rotations against the 4x4 algebra, the
+scan estimator, unwrapping and the file formats, checked over generated
+inputs."""
 
 import math
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import profile, rescaled_curve_set, sweep_from_profile
 from polcomp.bench import synthetic_curve_set, synthetic_retardance_curve
-from polcomp.compensation import _solution_family, solve_retardances
+from polcomp.compensation import _solution_family, infer_disturbed, solve_retardances
 from polcomp.io import read_curve, read_scan, read_sweep, write_curve, write_scan, write_sweep
 from polcomp.lcvr import (
     CharacterizationSweep,
@@ -24,13 +25,20 @@ from polcomp.lcvr import (
     unwrap_retardance,
     voltage_for_retardance,
 )
-from polcomp.polarimetry import PolarimeterScan
+from polcomp.polarimetry import PolarimeterScan, extract_coefficients
 from polcomp.stokes import (
     NormalizedStokes,
+    StokesVector,
+    _lcvr_rows,
+    _rotate,
+    _triple_rows,
+    apply,
     compose,
+    fidelity,
     invert_retarder,
     mueller_lcvr,
     mueller_lcvr_triple,
+    transform_normalized,
 )
 
 _component = st.floats(-1.0, 1.0, allow_nan=False)
@@ -289,6 +297,90 @@ _angle = st.floats(-10.0, 10.0, allow_nan=False)
 def test_inverted_retarder_stack_gives_identity(cells):
     m = compose([mueller_lcvr(theta, delta) for theta, delta in cells])
     assert np.max(np.abs(invert_retarder(m) @ m - np.eye(4))) <= 1e-12
+
+
+# --- the 3-vector paths against the public 4x4 algebra ---------------------------------
+
+def _apply_4x4(m, u):
+    out = apply(m, StokesVector(1.0, *u))
+    return (out.s1, out.s2, out.s3)
+
+
+@given(_angle, _angle, unit_vectors)
+def test_lcvr_rows_match_mueller_lcvr(theta, delta, u):
+    rows, m = _lcvr_rows(theta, delta), mueller_lcvr(theta, delta)
+    u = tuple(u.tolist())
+    np.testing.assert_allclose(_rotate(rows, u), _apply_4x4(m, u), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        _rotate(rows, u, inverse=True), _apply_4x4(invert_retarder(m), u), rtol=0, atol=1e-15
+    )
+
+
+@given(_angle, _angle, _angle, unit_vectors)
+def test_triple_rows_match_mueller_lcvr_triple(d1, d2, d3, u):
+    rows, m = _triple_rows(d1, d2, d3), mueller_lcvr_triple(d1, d2, d3)
+    u = tuple(u.tolist())
+    np.testing.assert_allclose(_rotate(rows, u), _apply_4x4(m, u), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        _rotate(rows, u, inverse=True), _apply_4x4(invert_retarder(m), u), rtol=0, atol=1e-15
+    )
+
+
+@given(_angle, _angle, _angle, unit_vectors)
+def test_infer_disturbed_matches_inverted_triple(d1, d2, d3, u):
+    u = NormalizedStokes(*u.tolist())
+    got = infer_disturbed(u, (d1, d2, d3))
+    want = transform_normalized(invert_retarder(mueller_lcvr_triple(d1, d2, d3)), u)
+    np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=0, atol=1e-14)
+
+
+@given(unit_vectors, unit_vectors)
+def test_fidelity_matches_dot_product(a, b):
+    got = fidelity(NormalizedStokes(*a.tolist()), NormalizedStokes(*b.tolist()))
+    assert abs(got - 0.5 * (1.0 + a @ b)) <= 1e-15
+
+
+def _three_trig_coefficients(scan):
+    """The Fourier sums with ``sin 2th``, ``cos 4th`` and ``sin 4th`` each
+    taken from its own trig call."""
+    v = scan.voltages - scan.background_voltage
+    th = scan.angles - scan.offset_alpha
+    n = v.size
+    return (
+        2.0 / n * float(v.sum()),
+        4.0 / n * float((v * np.sin(2.0 * th)).sum()),
+        4.0 / n * float((v * np.cos(4.0 * th)).sum()),
+        4.0 / n * float((v * np.sin(4.0 * th)).sum()),
+    )
+
+
+@st.composite
+def detector_scans(draw):
+    """Scans with detector-range voltages: a jittered uniform grid, or
+    sorted random angles pinned to span one revolution."""
+    n = draw(st.integers(16, 64))
+    if draw(st.booleans()):
+        step = 2.0 * math.pi / (n - 1)
+        jitter = draw(st.lists(st.floats(-0.2 * step, 0.2 * step), min_size=n, max_size=n))
+        angles = np.arange(n) * step + np.array(jitter)
+    else:
+        gaps = np.cumsum(draw(st.lists(st.floats(0.1, 10.0), min_size=n - 1, max_size=n - 1)))
+        angles = 2.0 * math.pi * np.concatenate(([0.0], gaps / gaps[-1]))
+    return PolarimeterScan(
+        angles=angles + draw(st.floats(-1.0, 1.0)),
+        voltages=draw(st.lists(st.floats(-0.1, 1.5), min_size=n, max_size=n)),
+        background_voltage=draw(st.floats(0.0, 0.1)),
+        offset_alpha=draw(st.floats(-math.pi, math.pi)),
+    )
+
+
+@settings(deadline=None)
+@given(scan=detector_scans())
+def test_extract_coefficients_matches_three_trig_reference(scan):
+    c = extract_coefficients(scan)
+    np.testing.assert_allclose(
+        (c.a0, c.b0, c.c0, c.d0), _three_trig_coefficients(scan), rtol=0, atol=1e-14
+    )
 
 
 def _near_a_branch_boundary(x):

@@ -169,6 +169,14 @@ def test_invert_retarder_rejects_polarizer():
         invert_retarder(mueller_pbs())
 
 
+@pytest.mark.parametrize("where", [(0, 2), (2, 3)], ids=["edge", "block"])
+def test_invert_retarder_rejects_non_finite_entries(where):
+    m = mueller_lcvr(0.3, 1.1)
+    m[where] = math.nan
+    with pytest.raises(NonRetarderError):
+        invert_retarder(m)
+
+
 def test_apply_rotates_cardinals():
     # A quarter-wave plate at 45 deg sends H to R.
     out = apply(mueller_qwp(math.pi / 4), CARDINAL_STOKES["H"])
