@@ -45,7 +45,7 @@ from .io import (
     write_json_doc,
     write_run_log,
 )
-from .lcvr import FOLD_THRESHOLD, build_curve
+from .lcvr import build_curve
 from .polarimetry import measure_stokes
 from .stokes import CARDINAL_STOKES, NormalizedStokes, cardinal_target, fidelity
 
@@ -137,9 +137,7 @@ def _add_loop_options(sub: argparse.ArgumentParser) -> None:
 
 def cmd_characterize(args: argparse.Namespace, argv: list[str]) -> int:
     sweep = read_sweep(args.sweep)
-    curve = build_curve(
-        sweep, fold_threshold=args.fold_threshold, wavelength_nm=args.wavelength_nm
-    )
+    curve = build_curve(sweep, wavelength_nm=args.wavelength_nm)
     out = _resolve_out(args.output)
     write_curve(out, curve)
     _write_manifest(out, "characterize", argv, [args.output])
@@ -170,8 +168,7 @@ def cmd_tomography(args: argparse.Namespace, argv: list[str]) -> int:
         meta = read_scan_metadata(f)
         line = f"{f.name}: u = ({u.u1:+.6f}, {u.u2:+.6f}, {u.u3:+.6f})"
         if "true_state" in meta:
-            true = meta["true_state"]
-            fid = fidelity(u, NormalizedStokes(*[float(x) for x in true]))
+            fid = fidelity(u, NormalizedStokes(*meta["true_state"]))
             entry["fidelity"] = fid
             fidelities.append(fid)
             line += f"  fidelity = {fid:.6f}"
@@ -286,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("characterize", help="turn a voltage sweep into a retardance curve")
     p.add_argument("sweep", help="sweep CSV (with JSON sidecar)")
     p.add_argument("-o", "--output", required=True, help="curve CSV to write")
-    p.add_argument("--fold-threshold", type=float, default=FOLD_THRESHOLD,
-                   help="distance from 0/pi treated as a fold region (rad)")
     p.add_argument("--wavelength-nm", type=float, default=None)
     p.set_defaults(func=cmd_characterize)
 

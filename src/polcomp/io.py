@@ -173,8 +173,11 @@ def write_scan(
     write_json_doc(sidecar_path(path), meta)
 
 
-def _sidecar_float(path: Path, meta: dict, key: str) -> float:
+def _sidecar_float(path: Path, meta: dict, key: str, default: float | None = None) -> float:
+    """``meta[key]`` as a float; a missing key gives ``default`` if one is set."""
     if key not in meta:
+        if default is not None:
+            return default
         raise FileFormatError(f"{path}: sidecar is missing {key!r}")
     try:
         return float(meta[key])
@@ -204,11 +207,20 @@ def read_scan(path: str | os.PathLike) -> PolarimeterScan:
 
 
 def read_scan_metadata(path: str | os.PathLike) -> dict:
-    """Sidecar of a scan file, as a plain dict (empty if absent)."""
+    """Sidecar of a scan file, as a plain dict (empty if absent); a
+    ``true_state`` must be three finite numbers and comes back as floats."""
+    side = sidecar_path(path)
     try:
-        return read_json_doc(sidecar_path(path))
+        meta = read_json_doc(side)
     except FileNotFoundError:
         return {}
+    if "true_state" in meta:
+        state = meta["true_state"]
+        if not (isinstance(state, list) and len(state) == 3
+                and all(type(x) in (int, float) and math.isfinite(x) for x in state)):
+            raise FileFormatError(f"{side}: sidecar 'true_state' must be three finite numbers")
+        meta["true_state"] = [float(x) for x in state]
+    return meta
 
 
 def write_sweep(path: str | os.PathLike, sweep: CharacterizationSweep) -> None:
@@ -238,7 +250,7 @@ def read_sweep(path: str | os.PathLike) -> CharacterizationSweep:
             mean_pd_voltages=data[:, 1],
             pd_voltage_sems=data[:, 2],
             background_voltage=_sidecar_float(side, meta, "background_voltage_v"),
-            background_sem=float(meta.get("background_sem_v", 0.0)),
+            background_sem=_sidecar_float(side, meta, "background_sem_v", 0.0),
         )
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
@@ -259,21 +271,27 @@ def write_curve(path: str | os.PathLike, curve: RetardanceCurve) -> None:
 def read_curve(path: str | os.PathLike) -> RetardanceCurve:
     path = Path(path)
     data = _read_csv(path, CURVE_HEADER, nan_ok=(False, False, True))
+    side = sidecar_path(path)
     meta: dict[str, Any] = {}
     try:
-        meta = read_json_doc(sidecar_path(path))
+        meta = read_json_doc(side)
     except FileNotFoundError:
         pass  # metadata is optional for curves
+    # null marks an unknown wavelength or fold count, as write_curve writes.
     wavelength = meta.get("wavelength_nm")
+    if wavelength is not None:
+        wavelength = _sidecar_float(side, meta, "wavelength_nm")
     fold_count = meta.get("fold_count")
+    if fold_count is not None and not (type(fold_count) is int and fold_count >= 0):
+        raise FileFormatError(f"{side}: sidecar 'fold_count' must be a non-negative integer")
     try:
         return RetardanceCurve(
             drive_voltages=data[:, 0],
             retardances=data[:, 1],
             retardance_errors=data[:, 2],
-            voltage_step=float(meta.get("voltage_step_v", 0.0)),
-            wavelength_nm=None if wavelength is None else float(wavelength),
-            fold_count=None if fold_count is None else int(fold_count),
+            voltage_step=_sidecar_float(side, meta, "voltage_step_v", 0.0),
+            wavelength_nm=wavelength,
+            fold_count=fold_count,
         )
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

@@ -7,10 +7,11 @@ between crossed/parallel polarizers, so the photodiode sees
 
 Inverting the cosine gives only the principal value ``arccos`` in
 ``[0, pi]``; a full-wave cell folds the true curve at every multiple of
-pi.  :func:`unwrap_retardance` undoes the folding by walking the
-sequence, flipping the branch at every fold, and placing each flip at
-the position that minimizes the discontinuity of the rebuilt curve
-(its local second differences).  :func:`build_curve` then orients the
+pi.  A nematic cell's curve is monotone, so its folds alternate between
+0 and pi: a run of visits to one boundary is one fold.
+:func:`unwrap_retardance` flips the branch once per such visit, at the
+position that minimizes the discontinuity of the rebuilt curve (its
+local second differences).  :func:`build_curve` then orients the
 result as a monotonically non-increasing curve (retardance drops as
 voltage rises in a nematic cell) and shifts it into the physical branch
 whose minimum lies in the first wave.
@@ -49,13 +50,9 @@ __all__ = [
     "curve_slope_at",
 ]
 
-#: Default distance from a branch boundary (0 or pi) within which a
-#: trend reversal is treated as a fold.
+#: Distance from a branch boundary (0 or pi) within which a sample visits
+#: that boundary; a sequence must vary by at least this much to unwrap.
 FOLD_THRESHOLD = 0.15
-#: Gap (in samples) under which two boundary visits merge into one fold
-#: candidate; suppresses double-counting when noise briefly exits the
-#: boundary region.
-_MERGE_GAP = 3
 #: Slack when shifting the unwrapped curve into [0, 2*pi): lets noisy
 #: fold dips reach slightly below zero without dragging the whole curve
 #: up by a full wave.
@@ -299,25 +296,17 @@ def retardance_error(
     return float(_error_array(v_meas, v_back, v_max, sem_meas, sem_back))
 
 
-def _boundary_runs(raw: np.ndarray, threshold: float) -> list[tuple[int, int, int]]:
-    """Contiguous visits to a branch boundary: (first, last, boundary 0|1)."""
-    runs: list[tuple[int, int, int]] = []
-    for boundary, mask in ((0, raw < threshold), (1, raw > math.pi - threshold)):
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            continue
-        splits = np.flatnonzero(np.diff(idx) > 1) + 1
-        for chunk in np.split(idx, splits):
-            runs.append((int(chunk[0]), int(chunk[-1]), boundary))
-    runs.sort()
-    # Merge same-boundary visits separated by a few stray samples.
-    merged: list[tuple[int, int, int]] = []
-    for run in runs:
-        if merged and merged[-1][2] == run[2] and run[0] - merged[-1][1] - 1 <= _MERGE_GAP:
-            merged[-1] = (merged[-1][0], run[1], run[2])
-        else:
-            merged.append(run)
-    return merged
+def _boundary_runs(raw: np.ndarray) -> list[tuple[int, int, int]]:
+    """Visits to a branch boundary, (first, last, boundary 0|1), in order.
+
+    Samples are labelled near 0, near pi, or neither, and the labelled ones
+    split wherever the label changes: a monotone curve's folds alternate,
+    so same-boundary visits merge however far apart, and visits alternate.
+    """
+    label = np.where(raw < FOLD_THRESHOLD, 0, np.where(raw > math.pi - FOLD_THRESHOLD, 1, -1))
+    idx = np.flatnonzero(label >= 0)
+    visits = np.split(idx, np.flatnonzero(np.diff(label[idx])) + 1)
+    return [(int(v[0]), int(v[-1]), int(label[v[0]])) for v in visits if v.size]
 
 
 def _flipped_branch(s: int, k: int, boundary: int) -> tuple[int, int]:
@@ -340,27 +329,28 @@ def _choose_flip(
 ) -> int:
     """Flip position (between j and j+1) minimizing local second differences.
 
+    ``(a, b)`` is an interior visit, ``lo_limit`` the first sample after
+    the previous flip and ``hi_limit`` the last sample before the next
+    visit.  Visits alternate, and samples near opposite boundaries are
+    never adjacent (a jump of more than pi - 2 * FOLD_THRESHOLD, which
+    the unwrap rejects), so ``lo_limit <= a - 1`` and ``hi_limit >= b + 1``.
+    The scoring window therefore holds at least three samples, and every
+    candidate ``j`` in ``[a - 1, b]`` gets a second-difference score.
+
     The choice is local, so even noise-free data is not always rebuilt
     exactly: the flip can land one sample off its fold, and that sample
     comes back mirrored about the branch boundary.  Each rebuilt sample
     stays within twice its distance to the nearest boundary of its true
-    value.  A global fold placement would make the rebuild exact (ROADMAP
-    item 4).
+    value.
     """
     two_pi = 2.0 * math.pi
     s2, k2 = _flipped_branch(s, k, boundary)
-    w0 = max(0, a - 3, lo_limit)
-    w1 = min(raw.size - 1, b + 3, hi_limit)
-    j_lo = max(a - 1, lo_limit, 0)
-    j_hi = min(b, raw.size - 2)
-    if w1 - w0 < 3 or j_hi < j_lo:
-        # Window too cramped to score candidates; fall back to the extremum.
-        seg = raw[a : b + 1]
-        return a + int(np.argmin(seg) if boundary == 0 else np.argmax(seg))
+    w0 = max(a - 3, lo_limit)
+    w1 = min(b + 3, hi_limit)
     window = raw[w0 : w1 + 1]
     positions = np.arange(w0, w1 + 1)
-    best_j, best_cost = j_lo, math.inf
-    for j in range(j_lo, j_hi + 1):
+    best_j, best_cost = a - 1, math.inf
+    for j in range(a - 1, b + 1):
         seg = np.where(positions <= j, s * window + two_pi * k, s2 * window + two_pi * k2)
         cost = float(np.abs(np.diff(seg, 2)).sum())
         if cost < best_cost:
@@ -368,9 +358,7 @@ def _choose_flip(
     return best_j
 
 
-def _unwrap_with_folds(
-    raw: np.ndarray, fold_threshold: float = FOLD_THRESHOLD
-) -> tuple[np.ndarray, list[int]]:
+def _unwrap_with_folds(raw: np.ndarray) -> tuple[np.ndarray, list[int]]:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size < 3:
         raise ValueError("need a 1-D sequence of at least 3 principal values")
@@ -378,13 +366,11 @@ def _unwrap_with_folds(
         raise ValueError("principal values must be finite")
     if np.any(raw < -1e-9) or np.any(raw > math.pi + 1e-9):
         raise ValueError("principal values must lie in [0, pi]")
-    if not (0.0 < fold_threshold < 1.0):
-        raise ValueError(f"fold_threshold must be in (0, 1), got {fold_threshold!r}")
     if np.any(np.abs(np.diff(raw)) >= math.pi / 2.0):
         raise UnwrapAmbiguityError(
             "consecutive principal values jump by >= pi/2; sampling too coarse to unwrap"
         )
-    if float(np.ptp(raw)) < fold_threshold:
+    if float(np.ptp(raw)) < FOLD_THRESHOLD:
         raise UnwrapAmbiguityError("no retardance variation to unwrap")
 
     n = raw.size
@@ -393,7 +379,7 @@ def _unwrap_with_folds(
     s, k = 1, 0
     pos = 0
     folds: list[int] = []
-    runs = _boundary_runs(raw, fold_threshold)
+    runs = _boundary_runs(raw)
     for ridx, (a, b, boundary) in enumerate(runs):
         if a <= 0 or b >= n - 1:
             continue  # a reversal cannot be confirmed at the sequence ends
@@ -409,7 +395,7 @@ def _unwrap_with_folds(
     return out, folds
 
 
-def unwrap_retardance(raw, fold_threshold: float = FOLD_THRESHOLD) -> np.ndarray:
+def unwrap_retardance(raw) -> np.ndarray:
     """Rebuild a continuous retardance sequence from arccos principal values.
 
     The output preserves ``cos(out) == cos(raw)`` pointwise and starts on
@@ -422,14 +408,12 @@ def unwrap_retardance(raw, fold_threshold: float = FOLD_THRESHOLD) -> np.ndarray
         When consecutive samples are too far apart to identify folds, or
         the sequence carries no variation at all.
     """
-    out, _ = _unwrap_with_folds(raw, fold_threshold)
+    out, _ = _unwrap_with_folds(raw)
     return out
 
 
 def build_curve(
-    sweep: CharacterizationSweep,
-    fold_threshold: float = FOLD_THRESHOLD,
-    wavelength_nm: float | None = None,
+    sweep: CharacterizationSweep, wavelength_nm: float | None = None
 ) -> RetardanceCurve:
     """Calibrate one LCVR: sweep -> continuous retardance-vs-voltage curve.
 
@@ -448,7 +432,7 @@ def build_curve(
             f"sweep maximum {v_max!r} does not exceed background {v_back!r}"
         )
     raw, clamped = _principal_retardance(sweep.mean_pd_voltages, v_back, v_max)
-    unwrapped, folds = _unwrap_with_folds(raw, fold_threshold)
+    unwrapped, folds = _unwrap_with_folds(raw)
 
     # Orient as non-increasing (compare robust ends, noise tolerant).
     head = float(np.median(unwrapped[: min(5, unwrapped.size)]))

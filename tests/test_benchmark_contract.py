@@ -1,6 +1,7 @@
 """The benchmark harness in ``perfbench/`` reads program names it does not
 own.  Load its modules from their files, unchanged, and check that every
-name it traces resolves and that its loop checks find no contradiction."""
+name it traces resolves and that its loop and calibration checks find no
+contradiction."""
 
 import importlib
 import importlib.util
@@ -40,3 +41,16 @@ def test_loop_workload_checks_find_nothing_wrong():
     for k, rec in enumerate(records):
         assert rec.wrong == (), f"op {k}: {rec.wrong}"
         assert rec.readings > 0
+
+
+def test_calibrate_files_workload_finds_nothing_wrong(tmp_path):
+    workloads = _load("workloads")
+    cycles = workloads.CalibrateFiles(tmp_path)
+    cycles.pool = 8
+    batch = cycles.prepare(1)
+    records = [cycles.check(batch, k, cycles.run(batch, k)) for k in range(cycles.pool)]
+    assert len(records) == 8
+    for k, rec in enumerate(records):
+        assert rec.wrong == (), f"op {k}: {rec.wrong}"
+        assert "fold_count" not in rec.why, f"op {k}: {rec.why}"
+        assert rec.readings == len(workloads.TARGETS)

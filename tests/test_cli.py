@@ -7,7 +7,7 @@ import pytest
 
 from polcomp.bench import synthetic_curve_set
 from polcomp.cli import main, parse_target
-from polcomp.io import write_curve, write_scan, write_sweep
+from polcomp.io import sidecar_path, write_curve, write_scan, write_sweep
 from polcomp.polarimetry import simulate_scan
 from polcomp.stokes import CARDINAL_STOKES
 
@@ -85,6 +85,50 @@ def test_tomography_empty_directory(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["tomography", str(tmp_path / "empty")]) == 1
     assert "no scan CSV" in capsys.readouterr().err
+
+
+def _edit_sidecar(path, **changes):
+    side = sidecar_path(path)
+    meta = json.loads(side.read_text())
+    meta.update(changes)
+    side.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("state", [None, [1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+def test_tomography_malformed_true_state_is_a_data_error(tmp_path, capsys, state):
+    p = tmp_path / "one.csv"
+    write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, TWO_PI / 310), true_state=[1, 0, 0])
+    _edit_sidecar(p, true_state=state)
+    assert main(["tomography", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "one.json" in err and "true_state" in err
+
+
+def test_tomography_non_unit_true_state_is_a_data_error(tmp_path, capsys):
+    p = tmp_path / "one.csv"
+    write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, TWO_PI / 310), true_state=[1, 1, 0])
+    assert main(["tomography", str(p)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_characterize_bad_sweep_sidecar_is_a_data_error(sweep_file, tmp_path, capsys):
+    _edit_sidecar(sweep_file, background_sem_v=None)
+    assert main(["characterize", str(sweep_file), "-o", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "sweep.json" in err and "background_sem_v" in err
+
+
+@pytest.mark.parametrize("key, value", [("voltage_step_v", None), ("wavelength_nm", [1.0]),
+                                        ("fold_count", [2]), ("fold_count", 2.7)])
+def test_compensate_bad_curve_sidecar_is_a_data_error(curve_files, tmp_path, capsys,
+                                                      key, value):
+    _edit_sidecar(curve_files[2], **{key: value})
+    argv = ["compensate", "--target", "H", "-o", str(tmp_path / "r.jsonl")]
+    for p in curve_files:
+        argv += ["--curve", str(p)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "curve2.json" in err and key in err
 
 
 def test_compensate_end_to_end(curve_files, tmp_path, capsys):

@@ -78,6 +78,49 @@ def test_curve_metadata_is_optional(tmp_path, clean_sweep):
     assert back.fold_count is None
 
 
+def _edit_sidecar(path, **changes):
+    side = sidecar_path(path)
+    meta = json.loads(side.read_text())
+    meta.update(changes)
+    side.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("voltage_step_v", None),
+    ("voltage_step_v", "fast"),
+    ("wavelength_nm", [780.0]),
+    ("fold_count", [2]),
+    ("fold_count", 2.7),
+    ("fold_count", -1),
+    ("fold_count", True),
+])
+def test_curve_sidecar_of_the_wrong_type_names_its_key(tmp_path, key, value):
+    p = tmp_path / "curve.csv"
+    write_curve(p, synthetic_curve_set(1)[0])
+    _edit_sidecar(p, **{key: value})
+    with pytest.raises(FileFormatError, match=f"curve.json.*{key}"):
+        read_curve(p)
+
+
+@pytest.mark.parametrize("value", [None, [0.001], "small"])
+def test_sweep_sidecar_of_the_wrong_type_names_its_key(tmp_path, noisy_sweep, value):
+    p = tmp_path / "sweep.csv"
+    write_sweep(p, noisy_sweep)
+    _edit_sidecar(p, background_sem_v=value)
+    with pytest.raises(FileFormatError, match="sweep.json.*background_sem_v"):
+        read_sweep(p)
+
+
+@pytest.mark.parametrize("state", [None, [1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                                   ["1", 0.0, 0.0], [math.nan, 0.0, 1.0], "H"])
+def test_scan_true_state_must_be_three_finite_numbers(tmp_path, state):
+    p = tmp_path / "scan.csv"
+    write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310))
+    _edit_sidecar(p, true_state=state)
+    with pytest.raises(FileFormatError, match="scan.json.*true_state"):
+        read_scan_metadata(p)
+
+
 def test_scan_requires_sidecar(tmp_path):
     scan = simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310)
     p = tmp_path / "scan.csv"

@@ -17,8 +17,10 @@ from polcomp.bench import synthetic_curve_set, synthetic_retardance_curve
 from polcomp.compensation import _solution_family, infer_disturbed, solve_retardances
 from polcomp.io import read_curve, read_scan, read_sweep, write_curve, write_scan, write_sweep
 from polcomp.lcvr import (
+    FOLD_THRESHOLD,
     CharacterizationSweep,
     RetardanceCurve,
+    _boundary_runs,
     build_curve,
     curve_slope_at,
     retardance_for_voltage,
@@ -420,6 +422,22 @@ def test_unwrap_round_trips_monotone_profiles(top, depth, knee, power, n, rising
     sign = 1.0 if math.sin(true[0]) > 0.0 else -1.0
     error = np.abs(out - (raw[0] + sign * (true - true[0])))
     assert np.all(error <= 2.0 * np.minimum(raw, math.pi - raw) + 1e-9)
+
+
+@given(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=60))
+def test_boundary_visits_alternate(values):
+    raw = np.array(values)
+    runs = _boundary_runs(raw)
+    near = [0 if x < FOLD_THRESHOLD else 1 if x > math.pi - FOLD_THRESHOLD else None
+            for x in values]
+    labelled = [i for i, lab in enumerate(near) if lab is not None]
+    covered = [i for a, b, _ in runs for i in range(a, b + 1) if near[i] is not None]
+    assert covered == labelled
+    for (a, b, boundary) in runs:
+        assert near[a] == near[b] == boundary
+        assert all(near[i] in (None, boundary) for i in range(a, b + 1))
+    for (_, b, first), (a, _, second) in zip(runs, runs[1:]):
+        assert first != second and b < a
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
