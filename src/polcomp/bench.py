@@ -17,7 +17,7 @@ measurement inside it, can be replayed bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -173,23 +173,17 @@ def _curve_shape(v: np.ndarray, v0: float, power: float) -> np.ndarray:
     return 1.0 / (1.0 + (v / v0) ** power)
 
 
-def synthetic_retardance_curve(
-    index: int = 0,
-    v_lo: float = 0.1,
-    v_hi: float = 16.0,
-    step: float = 0.01,
-    wavelength_nm: float = 780.0,
-) -> RetardanceCurve:
-    """Plausible full-wave LCVR curve: monotone decreasing, saturating.
+def synthetic_retardance_curve(index: int = 0) -> RetardanceCurve:
+    """Plausible full-wave LCVR curve at 780 nm: monotone decreasing,
+    saturating.
 
-    Spans roughly 2.3*pi down to 0.12*pi across the drive range, so the
-    whole physical actuation window is strictly interior.  ``index``
-    detunes the shape slightly so a four-cell set is not four copies of
-    one curve.
+    Spans roughly 2.3*pi down to 0.12*pi across the 0.1-16 V drive range
+    (0.01 V apart), so the whole physical actuation window is strictly
+    interior.  ``index`` detunes the shape slightly so a four-cell set is
+    not four copies of one curve.
     """
-    if not (0.0 < v_lo < v_hi):
-        raise ValueError("need 0 < v_lo < v_hi")
-    v = np.arange(v_lo, v_hi + step / 2.0, step)
+    step = 0.01
+    v = np.arange(0.1, 16.0 + step / 2.0, step)
     v0 = 2.0 + 0.15 * index
     power = 2.2 + 0.08 * index
     g = _curve_shape(v, v0, power)
@@ -201,7 +195,7 @@ def synthetic_retardance_curve(
         retardances=ret,
         retardance_errors=np.zeros_like(v),
         voltage_step=step,
-        wavelength_nm=wavelength_nm,
+        wavelength_nm=780.0,
     )
 
 
@@ -215,31 +209,29 @@ def simulate_characterization_sweep(
     retardance_fn: Callable[[np.ndarray], np.ndarray],
     pd_sigma: float = 0.0,
     n_repeats: int = 10,
-    gain: float = 1.0,
-    background_v: float = 0.0,
     seed: int = 0,
 ) -> CharacterizationSweep:
     """Sweep of a cell between crossed polarizers at 45 degrees.
 
     The mean photodiode voltage at each drive point is
-    ``background + gain * (1 - cos(delta)) / 2`` averaged over
+    ``(1 - cos(delta)) / 2`` (unit gain, no background) averaged over
     ``n_repeats`` noisy reads; the recorded SEM is the usual
     ``sigma / sqrt(n)``.  ``pd_sigma = 0`` gives an exact sweep.
     """
     v = np.asarray(drive_voltages, dtype=float)
     delta = np.asarray(retardance_fn(v), dtype=float)
-    clean = background_v + gain * (1.0 - np.cos(delta)) / 2.0
+    clean = (1.0 - np.cos(delta)) / 2.0
     if pd_sigma > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x5EEF]))
         reads = clean[None, :] + rng.normal(0.0, pd_sigma, (int(n_repeats), v.size))
         mean = reads.mean(axis=0)
         sem = np.full(v.size, pd_sigma / math.sqrt(n_repeats))
-        background = background_v + float(rng.normal(0.0, pd_sigma / math.sqrt(n_repeats)))
+        background = float(rng.normal(0.0, pd_sigma / math.sqrt(n_repeats)))
         background_sem = pd_sigma / math.sqrt(n_repeats)
     else:
         mean = clean
         sem = np.zeros(v.size)
-        background = background_v
+        background = 0.0
         background_sem = 0.0
     return CharacterizationSweep(
         drive_voltages=v,
@@ -325,7 +317,7 @@ class VirtualApparatus:
     noise: NoiseModel
     source: StokesVector = field(default_factory=lambda: CARDINAL_STOKES["H"])
     seed: int = 0
-    calls: int = 0
+    calls: int = field(default=0, init=False)
 
     def __call__(self, voltages: Sequence[float]) -> NormalizedStokes:
         scan_seed = int(
@@ -356,15 +348,8 @@ class TrialStats:
     runs: list[CompensationRun] | None = None
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean_steps_to_97": self.mean_steps_to_97,
-            "mean_steps_to_99": self.mean_steps_to_99,
-            "mean_steps_to_995": self.mean_steps_to_995,
-            "unreached_97": self.unreached_97,
-            "unreached_99": self.unreached_99,
-            "unreached_995": self.unreached_995,
-        }
+        """Every field but ``runs``, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "runs"}
 
 
 def run_trials(
@@ -374,13 +359,12 @@ def run_trials(
     base_seed: int = 0,
     curves: Sequence[RetardanceCurve] | None = None,
     target: NormalizedStokes | None = None,
-    source: StokesVector | None = None,
     keep_runs: bool = False,
 ) -> TrialStats:
     """Compensate ``n_trials`` independent random disturbances.
 
     Trial ``i`` derives all of its randomness (disturbance and measurement
-    noise) from ``SeedSequence([base_seed, i])``.  Means
+    noise) from ``SeedSequence([base_seed, i])``.  The source is H.  Means
     are taken over the trials that reached each fidelity level.
     """
     if n_trials < 1:
@@ -395,19 +379,16 @@ def run_trials(
         curves = list(curves)
     if target is None:
         target = cardinal_target("H")
-    if source is None:
-        source = CARDINAL_STOKES["H"]
 
     reached: dict[str, list[int]] = {key: [] for key in REPORT_LEVELS}
     runs: list[CompensationRun] = []
     for i in range(int(n_trials)):
-        state = np.random.SeedSequence([int(base_seed) & 0xFFFFFFFF, i]).generate_state(3)
+        state = np.random.SeedSequence([int(base_seed) & 0xFFFFFFFF, i]).generate_state(2)
         disturbance = random_disturbance(int(state[0]))
         apparatus = VirtualApparatus(
-            disturbance=disturbance, curves=list(curves), noise=noise, source=source,
-            seed=int(state[1]),
+            disturbance=disturbance, curves=list(curves), noise=noise, seed=int(state[1]),
         )
-        run = run_compensation(apparatus, curves, target, config, seed=int(state[2]))
+        run = run_compensation(apparatus, curves, target, config)
         for key, level in REPORT_LEVELS.items():
             step = run.steps_to(level)
             if step is not None:

@@ -57,6 +57,9 @@ EXIT_BUDGET = 3
 
 _ENV_OUT_DIR = "POLCOMP_OUT_DIR"
 
+#: ``--noise-preset`` names and the bench imperfection budgets they select.
+_NOISE_PRESETS = {"none": NoiseModel.none, "lab": NoiseModel.lab}
+
 
 def _resolve_out(path_str: str) -> Path:
     p = Path(path_str)
@@ -103,14 +106,6 @@ def parse_target(text: str) -> NormalizedStokes:
     return NormalizedStokes(*vec)
 
 
-def _noise_from_preset(preset: str) -> NoiseModel:
-    if preset == "none":
-        return NoiseModel.none()
-    if preset == "lab":
-        return NoiseModel.lab()
-    raise ValueError(f"unknown noise preset {preset!r}")
-
-
 def _config_from_args(args: argparse.Namespace) -> LoopConfig:
     kwargs = {}
     if args.coarse_threshold is not None:
@@ -130,7 +125,7 @@ def _add_loop_options(sub: argparse.ArgumentParser) -> None:
                      help="fidelity that ends the run (default 0.995)")
     sub.add_argument("--max-steps", type=int, default=None,
                      help="cap both the coarse and fine step budgets")
-    sub.add_argument("--noise-preset", choices=("none", "lab"), default="none",
+    sub.add_argument("--noise-preset", choices=tuple(_NOISE_PRESETS), default="none",
                      help="virtual bench imperfection budget (default: none)")
     sub.add_argument("--seed", type=int, default=0, help="measurement seed")
 
@@ -187,11 +182,9 @@ def cmd_tomography(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_compensate(args: argparse.Namespace, argv: list[str]) -> int:
-    if len(args.curve) not in (3, 4):
-        raise ValueError(f"need 3 or 4 --curve files, got {len(args.curve)}")
     curves = [read_curve(p) for p in args.curve]
     target = parse_target(args.target)
-    noise = _noise_from_preset(args.noise_preset)
+    noise = _NOISE_PRESETS[args.noise_preset]()
     config = _config_from_args(args)
     apparatus = VirtualApparatus(
         disturbance=random_disturbance(args.disturbance_seed),
@@ -214,11 +207,9 @@ def cmd_compensate(args: argparse.Namespace, argv: list[str]) -> int:
 
 def cmd_bench(args: argparse.Namespace, argv: list[str]) -> int:
     target = parse_target(args.target)
-    noise = _noise_from_preset(args.noise_preset)
+    noise = _NOISE_PRESETS[args.noise_preset]()
     config = _config_from_args(args)
     curves = [read_curve(p) for p in args.curve] if args.curve else None
-    if curves is not None and len(curves) not in (3, 4):
-        raise ValueError(f"need 3 or 4 --curve files, got {len(curves)}")
     keep = args.log_dir is not None
     stats = run_trials(
         args.trials,
@@ -254,8 +245,13 @@ def cmd_replay(args: argparse.Namespace, argv: list[str]) -> int:
     for key in ("command", "argv"):
         if key not in doc:
             raise FileFormatError(f"{args.manifest}: manifest is missing {key!r}")
-    recorded = [str(a) for a in doc["argv"]]
-    if recorded and recorded[0] == "replay":
+    recorded = doc["argv"]
+    if not (isinstance(recorded, list) and recorded
+            and all(isinstance(a, str) for a in recorded)):
+        raise FileFormatError(
+            f"{args.manifest}: manifest 'argv' must be a non-empty list of strings"
+        )
+    if recorded[0] == "replay":
         raise ValueError("refusing to replay a replay")
     print(f"replaying: polcomp {' '.join(recorded)}")
     if args.out_dir is not None:

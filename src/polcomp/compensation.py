@@ -297,9 +297,6 @@ class CompensationRun:
         """A run is finished once it has a reason to stop."""
         return self.reason is not None
 
-    def finish(self, reason: str) -> None:
-        self.reason = reason
-
     def summary(self) -> dict:
         levels = {f"steps_to_{key}": self.steps_to(lv) for key, lv in REPORT_LEVELS.items()}
         return {**levels, "reason": self.reason}
@@ -364,11 +361,14 @@ def fine_tune_step(
     reading that won, a failed one relaxes it toward the reading that
     lost.  Without the relaxation a single optimistic reading would
     become a bar that no honest later reading can clear, freezing the
-    climb on a noisy bench.  No-op if the run already sits at or above
-    the fine threshold.
+    climb on a noisy bench.  The caller tests the fine threshold before
+    the next probe: a kept move sets ``run.current_fidelity`` to its
+    reading, and a failed one only lowers it.  No-op, apart from marking
+    the run ``fine_threshold_met``, if the run already sits at or above
+    the threshold.
     """
     if run.current_fidelity >= config.fine_threshold:
-        run.finish("fine_threshold_met")
+        run.reason = "fine_threshold_met"
         return run
 
     n = len(run.state.voltages)
@@ -400,9 +400,6 @@ def fine_tune_step(
         run.fine_directions[i] = -direction
         run.fine_index = (i + 1) % n
         run.current_fidelity += _BASELINE_RELAXATION * (fid - run.current_fidelity)
-
-    if fid >= config.fine_threshold:
-        run.finish("fine_threshold_met")
     return run
 
 
@@ -426,20 +423,19 @@ def run_compensation(
     if config is None:
         config = LoopConfig()
     run = CompensationRun.begin(curves, target, config, seed=seed)
-    while not run.complete:
-        if run.phase == "coarse":
-            if run.coarse_used >= config.max_coarse_steps:
-                run.finish("budget_exhausted")
-                break
-            coarse_step(run, apparatus, run.curves, target, config)
-        else:
-            if run.current_fidelity >= config.fine_threshold:
-                run.finish("fine_threshold_met")
-                break
-            if run.fine_used >= config.max_fine_steps:
-                run.finish("budget_exhausted")
-                break
-            fine_tune_step(run, apparatus, config)
+    while run.phase == "coarse":
+        if run.coarse_used >= config.max_coarse_steps:
+            run.reason = "budget_exhausted"
+            return run
+        coarse_step(run, apparatus, run.curves, target, config)
+    # The threshold comes before the budget: a coarse phase that already
+    # cleared it ends the run met, even with no fine budget.
+    while run.current_fidelity < config.fine_threshold:
+        if run.fine_used >= config.max_fine_steps:
+            run.reason = "budget_exhausted"
+            return run
+        fine_tune_step(run, apparatus, config)
+    run.reason = "fine_threshold_met"
     return run
 
 

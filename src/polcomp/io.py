@@ -173,16 +173,27 @@ def write_scan(
     write_json_doc(sidecar_path(path), meta)
 
 
+def _json_float(value: Any) -> float | None:
+    """``value`` as a float if it is a JSON number (an int or a float, never
+    a bool) in float range, else ``None``."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def _sidecar_float(path: Path, meta: dict, key: str, default: float | None = None) -> float:
     """``meta[key]`` as a float; a missing key gives ``default`` if one is set."""
     if key not in meta:
         if default is not None:
             return default
         raise FileFormatError(f"{path}: sidecar is missing {key!r}")
-    try:
-        return float(meta[key])
-    except (TypeError, ValueError):
-        raise FileFormatError(f"{path}: sidecar {key!r} is not a number") from None
+    value = _json_float(meta[key])
+    if value is None:
+        raise FileFormatError(f"{path}: sidecar {key!r} is not a number")
+    return value
 
 
 def read_scan(path: str | os.PathLike) -> PolarimeterScan:
@@ -216,10 +227,10 @@ def read_scan_metadata(path: str | os.PathLike) -> dict:
         return {}
     if "true_state" in meta:
         state = meta["true_state"]
-        if not (isinstance(state, list) and len(state) == 3
-                and all(type(x) in (int, float) and math.isfinite(x) for x in state)):
+        values = [_json_float(x) for x in state] if isinstance(state, list) else []
+        if not (len(values) == 3 and all(x is not None and math.isfinite(x) for x in values)):
             raise FileFormatError(f"{side}: sidecar 'true_state' must be three finite numbers")
-        meta["true_state"] = [float(x) for x in state]
+        meta["true_state"] = values
     return meta
 
 
@@ -335,8 +346,12 @@ def read_run_log(path: str | os.PathLike) -> tuple[list[dict], dict]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict):
+            raise FileFormatError(f"{path}:{lineno}: expected a JSON object")
         if "summary" in obj:
             summary = obj["summary"]
+            if not isinstance(summary, dict):
+                raise FileFormatError(f"{path}:{lineno}: 'summary' must be a JSON object")
         else:
             steps.append(obj)
     if not summary:

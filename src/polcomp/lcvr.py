@@ -142,6 +142,10 @@ class RetardanceCurve:
             raise ValueError("retardances must be finite")
         if np.any(np.diff(self.drive_voltages) <= 0.0):
             raise ValueError("drive voltages must be strictly increasing")
+        if not (math.isfinite(self.voltage_step) and self.voltage_step >= 0.0):
+            raise ValueError(
+                f"voltage_step must be finite and non-negative, got {self.voltage_step!r}"
+            )
         if self.voltage_step == 0.0:
             self.voltage_step = float(np.median(np.diff(self.drive_voltages)))
         for arr in (self.drive_voltages, self.retardances, self.retardance_errors):
@@ -349,13 +353,14 @@ def _choose_flip(
     w1 = min(b + 3, hi_limit)
     window = raw[w0 : w1 + 1]
     positions = np.arange(w0, w1 + 1)
-    best_j, best_cost = a - 1, math.inf
-    for j in range(a - 1, b + 1):
-        seg = np.where(positions <= j, s * window + two_pi * k, s2 * window + two_pi * k2)
-        cost = float(np.abs(np.diff(seg, 2)).sum())
-        if cost < best_cost:
-            best_j, best_cost = j, cost
-    return best_j
+    candidates = np.arange(a - 1, b + 1)
+    # One row per candidate: the window rebuilt with the flip after it.
+    segs = np.where(
+        positions <= candidates[:, None], s * window + two_pi * k, s2 * window + two_pi * k2
+    )
+    costs = np.abs(np.diff(segs, 2, axis=1)).sum(axis=1)
+    # argmin takes the first of equal costs, the earliest flip.
+    return int(candidates[np.argmin(costs)])
 
 
 def _unwrap_with_folds(raw: np.ndarray) -> tuple[np.ndarray, list[int]]:

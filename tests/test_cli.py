@@ -257,3 +257,45 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [5, None, "bench", [], ["bench", 3]])
+def test_replay_rejects_a_malformed_argv(tmp_path, capsys, argv):
+    p = tmp_path / "bad.manifest.json"
+    p.write_text(json.dumps({"command": "bench", "argv": argv}))
+    assert main(["replay", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "bad.manifest.json" in err and "argv" in err
+
+
+@pytest.mark.parametrize("key, value", [("voltage_step_v", "0.01"), ("voltage_step_v", -0.5),
+                                        ("voltage_step_v", float("nan")),
+                                        ("wavelength_nm", True)])
+def test_compensate_curve_sidecar_number_is_a_data_error(curve_files, tmp_path, capsys,
+                                                         key, value):
+    _edit_sidecar(curve_files[1], **{key: value})
+    argv = ["compensate", "--target", "H", "-o", str(tmp_path / "r.jsonl")]
+    for p in curve_files:
+        argv += ["--curve", str(p)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "curve1." in err and key.removesuffix("_v") in err
+
+
+@pytest.mark.parametrize("value", ["0.05", True])
+def test_tomography_scan_sidecar_number_is_a_data_error(tmp_path, capsys, value):
+    p = tmp_path / "one.csv"
+    write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, TWO_PI / 310))
+    _edit_sidecar(p, background_voltage_v=value)
+    assert main(["tomography", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "one.json" in err and "background_voltage_v" in err
+
+
+def test_bench_with_too_few_curves_is_a_data_error(curve_files, tmp_path, capsys):
+    argv = ["bench", "--trials", "1", "-o", str(tmp_path / "s.json")]
+    for p in curve_files[:2]:
+        argv += ["--curve", str(p)]
+    assert main(argv) == 1
+    assert "3 or 4" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()

@@ -17,3 +17,13 @@ def test_every_exported_name_resolves(module):
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
 
+
+
+def test_package_exports_every_library_module_name():
+    import polcomp
+
+    library = ("stokes", "polarimetry", "lcvr", "compensation", "bench")
+    expected = ["__version__"]
+    for name in library:
+        expected += importlib.import_module(f"polcomp.{name}").__all__
+    assert polcomp.__all__ == expected

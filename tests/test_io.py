@@ -264,3 +264,71 @@ def test_write_creates_parent_directories(tmp_path):
     write_curve(nested, curve)
     assert nested.exists()
     assert read_curve(nested).retardances[0] == 3.0
+
+
+@pytest.mark.parametrize("key", ["background_voltage_v", "offset_alpha_deg"])
+@pytest.mark.parametrize("value", ["0.05", True, pytest.param(10**400, id="huge-int")])
+def test_scan_sidecar_number_must_be_a_json_number(tmp_path, key, value):
+    p = tmp_path / "scan.csv"
+    write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310))
+    _edit_sidecar(p, **{key: value})
+    with pytest.raises(FileFormatError, match=f"scan.json.*{key}"):
+        read_scan(p)
+
+
+@pytest.mark.parametrize("key", ["background_voltage_v", "background_sem_v"])
+@pytest.mark.parametrize("value", ["0.05", False])
+def test_sweep_sidecar_number_must_be_a_json_number(tmp_path, noisy_sweep, key, value):
+    p = tmp_path / "sweep.csv"
+    write_sweep(p, noisy_sweep)
+    _edit_sidecar(p, **{key: value})
+    with pytest.raises(FileFormatError, match=f"sweep.json.*{key}"):
+        read_sweep(p)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("voltage_step_v", "0.01"),
+    ("voltage_step_v", True),
+    ("wavelength_nm", "780"),
+])
+def test_curve_sidecar_number_must_be_a_json_number(tmp_path, key, value):
+    p = tmp_path / "curve.csv"
+    write_curve(p, synthetic_curve_set(1)[0])
+    _edit_sidecar(p, **{key: value})
+    with pytest.raises(FileFormatError, match=f"curve.json.*{key}"):
+        read_curve(p)
+
+
+def test_scan_true_state_rejects_bools_and_huge_ints(tmp_path):
+    p = tmp_path / "scan.csv"
+    write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310))
+    for state in ([True, 0, 0], [10**400, 0, 0]):
+        _edit_sidecar(p, true_state=state)
+        with pytest.raises(FileFormatError, match="scan.json.*true_state"):
+            read_scan_metadata(p)
+
+
+@pytest.mark.parametrize("step", [-0.5, math.nan, math.inf])
+def test_curve_voltage_step_must_be_finite_and_non_negative(tmp_path, step):
+    base = synthetic_curve_set(1)[0]
+    with pytest.raises(ValueError, match="voltage_step"):
+        RetardanceCurve(base.drive_voltages, base.retardances, base.retardance_errors,
+                        voltage_step=step)
+    p = tmp_path / "curve.csv"
+    write_curve(p, base)
+    _edit_sidecar(p, voltage_step_v=step)
+    with pytest.raises(FileFormatError, match="curve.csv.*voltage_step"):
+        read_curve(p)
+
+
+@pytest.mark.parametrize("line, where", [
+    ("5", ":2:"),
+    ("[1, 2]", ":2:"),
+    ('{"summary": 5}', ":2:"),
+    ('{"summary": [1]}', ":2:"),
+])
+def test_run_log_lines_must_be_objects(tmp_path, line, where):
+    p = tmp_path / "run.jsonl"
+    p.write_text('{"step": 1, "phase": "coarse"}\n' + line + "\n")
+    with pytest.raises(FileFormatError, match=f"run.jsonl{where}"):
+        read_run_log(p)
