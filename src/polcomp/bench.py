@@ -114,7 +114,7 @@ class NoiseModel:
         has mean 0.9987 and minimum 0.980, and 1.7% of scans fall below
         0.99.  The mount-drift term is the calibrated knob: large enough
         that tomography is measurably imperfect, small enough that the
-        fine-tune climb stays reliable."""
+        fine phase's local step stays reliable."""
         return cls(
             pd_sigma=0.005,
             background_v=0.05,

@@ -2,12 +2,12 @@
 
 The compensator is a stack of liquid-crystal retarders at 0/45/0 (and
 optionally a fourth at 45) degrees.  One *step* is one polarization
-measurement.  The coarse phase inverts the current compensator setting
-to estimate the state entering the stack, solves directly for the drive
-voltages of the three cells that map it onto the target, and actuates
-them.  Once the measured fidelity clears the coarse threshold, a fine
-phase hill-climbs the drive voltages one cell at a time in small steps
-until the fine threshold (or the step budget) is reached.
+measurement; each step records its reading and actuates a correction
+computed from it.  The coarse correction infers the state entering the
+stack and solves directly for the voltages that map it onto the target.
+Once a reading clears the coarse threshold or regresses, the fine
+correction is one Gauss-Newton step on the measured error, until the
+fine threshold (or the step budget) is reached.
 
 The retardance solve is closed-form.  The 0/45/0 stack turns the
 sphere about S1, then S2, then S1: an Euler-angle chart of SO(3), so the
@@ -15,9 +15,9 @@ exact solutions form a family with one free angle.  The family is
 enumerated on a fixed grid of that angle, each row is shifted by whole
 waves into what its cells' calibration curves reach, and every row is
 looked up on the curves at once, one array lookup per cell.  The
-reachable row on the steepest parts of the curves is actuated, where the
-fine phase's fixed voltage nudge still moves retardance.  The loop draws
-no random numbers of its own.
+reachable row on the steepest parts of the curves is actuated, where a
+small voltage change still turns the sphere for the fine step.  The loop
+draws no random numbers of its own.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ _FAMILY_COS = np.cos(_FAMILY_GRID)
 _FAMILY_SIN = np.sin(_FAMILY_GRID)
 #: The ``d1`` column of the family: the grid once per sign of ``b3``.
 _FAMILY_D1 = np.tile(_FAMILY_GRID, 2)
-
-#: Weight pulling the fine-tune acceptance baseline toward a losing
-#: reading, so a lucky high one cannot freeze the climb (0 = never
-#: relax, 1 = baseline is always the latest reading).
-_BASELINE_RELAXATION = 0.3
-
-#: Drive-voltage nudge of one fine-phase probe, volts: 2x the usual
-#: 0.01 V curve granularity.
-_FINE_STEP_V = 0.02
 
 MeasurementProvider = Callable[[Sequence[float]], NormalizedStokes]
 """Applies the given drive voltages and returns one measured state."""
@@ -161,11 +152,11 @@ def solve_retardances(
     component is shifted by whole waves into the lowest wave its own
     cell's curve reaches, and every row is looked up on the curves.
     Among the rows that all three curves reach, the one on the steepest
-    summed curve slope wins.  A steep region holds a short voltage
-    interval per radian, so the fine phase's fixed voltage nudge still
-    moves retardance; the flat high-voltage tail would stall it.  If no
-    row is reachable, the one least outside the spans is picked, and its
-    lookup clamps each out-of-span component to the end voltage.
+    summed curve slope wins.  The fine step turns the sphere through each
+    cell's slope, so a cell parked on the flat high-voltage tail barely
+    turns and leaves the step to the others.  If no row is reachable, the
+    one least outside the spans is picked, and its lookup clamps each
+    out-of-span component to the end voltage.
     """
     rows = _solution_family(
         (s_dis.u1, s_dis.u2, s_dis.u3), (s_target.u1, s_target.u2, s_target.u3)
@@ -217,8 +208,8 @@ class CompensationRun:
     """Single-owner record of one compensation session, mutated in place.
 
     The drive voltages in ``state`` and the transcript ``steps`` are the
-    run's record: step counts and report levels are read off ``steps``,
-    and ``best`` is one of its coarse records.
+    run's record: step counts, report levels and the current fidelity are
+    read off ``steps``.
     """
 
     config: LoopConfig
@@ -228,12 +219,6 @@ class CompensationRun:
     steps: list[StepRecord] = field(default_factory=list)
     phase: str = "coarse"
     reason: str | None = None
-    current_fidelity: float = -math.inf
-    # Fine-phase coordinate-descent state.
-    fine_index: int = 0
-    fine_directions: list[int] = field(default_factory=list)
-    # Best coarse step so far: every coarse correction starts from it.
-    best: StepRecord | None = None
 
     @classmethod
     def begin(
@@ -254,12 +239,15 @@ class CompensationRun:
         # Identity-equivalent start: a full wave per cell keeps an
         # undisturbed link untouched at the first probe.
         voltages = tuple(c.full_wave_voltage for c in curves)
-        run = cls(config=config, target=target, curves=curves, state=CompensatorState(voltages))
-        run.fine_directions = [1] * len(curves)
-        return run
+        return cls(config=config, target=target, curves=curves, state=CompensatorState(voltages))
 
     def total_steps(self) -> int:
         return len(self.steps)
+
+    @property
+    def current_fidelity(self) -> float:
+        """Fidelity of the latest reading, or ``-inf`` before the first."""
+        return self.steps[-1].fidelity if self.steps else -math.inf
 
     @property
     def coarse_used(self) -> int:
@@ -302,6 +290,52 @@ class CompensationRun:
         return {**levels, "reason": self.reason}
 
 
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _fine_correction(
+    rec: StepRecord, target: NormalizedStokes, curves: Sequence[RetardanceCurve]
+) -> tuple[float, ...]:
+    """Drive voltages one Gauss-Newton step from ``rec`` toward ``target``.
+
+    Cell ``i`` turns the sphere about its axis ``b``, carried through the
+    later cells; on a non-increasing curve a voltage change ``dv`` moves
+    the reading ``m`` by ``slope (b x m) dv``.  In the tangent frame at
+    ``m`` (``e1`` toward the target, ``e2 = m x e1``) that is
+    ``(slope b.e2, -slope b.e1) dv``.  The least-norm ``dv`` that moves
+    ``m`` the whole angle to the target is clamped to the spans.  A reading
+    on the target or its antipode, or cells that cannot turn it both ways,
+    keep the voltages.
+    """
+    m, t = rec.stokes, (target.u1, target.u2, target.u3)
+    cos = _dot(m, t)
+    r = [tk - cos * mk for tk, mk in zip(t, m)]
+    sin = math.sqrt(_dot(r, r))
+    if sin == 0.0:
+        return rec.voltages
+    e1 = [rk / sin for rk in r]
+    e2 = (m[1] * e1[2] - m[2] * e1[1], m[2] * e1[0] - m[0] * e1[2], m[0] * e1[1] - m[1] * e1[0])
+    rows = [_lcvr_rows(a, d) for a, d in zip(_STACK_ANGLES[1:], rec.retardances[1:])]
+    p, q = [], []
+    for i, (curve, v) in enumerate(zip(curves, rec.voltages)):
+        b = (math.cos(2.0 * _STACK_ANGLES[i]), math.sin(2.0 * _STACK_ANGLES[i]), 0.0)
+        for later in rows[i:]:
+            b = _rotate(later, b)
+        slope = curve_slope_at(curve, v)
+        p.append(slope * _dot(b, e2))
+        q.append(-slope * _dot(b, e1))
+    spp, sqq, spq = _dot(p, p), _dot(q, q), _dot(p, q)
+    det = spp * sqq - spq * spq
+    if det <= 0.0:
+        return rec.voltages
+    gain = math.atan2(sin, cos) / det
+    return tuple(
+        min(max(v + gain * (pi * sqq - qi * spq), c.voltage_span[0]), c.voltage_span[1])
+        for c, v, pi, qi in zip(curves, rec.voltages, p, q)
+    )
+
+
 def coarse_step(
     run: CompensationRun,
     measure: MeasurementProvider,
@@ -309,41 +343,34 @@ def coarse_step(
     target: NormalizedStokes,
     config: LoopConfig,
 ) -> CompensationRun:
-    """One coarse cycle: measure, then infer, solve, and actuate as needed.
+    """One coarse cycle: measure, record, then correct from that reading.
 
-    The measurement is recorded against the settings that produced it,
-    and becomes ``run.best`` if no earlier coarse reading beats it (a tie
-    takes the newer one).  The very first cycle always applies a
-    correction — the probe measurement exists to seed the solver, not to
-    be judged against the threshold.  On later cycles, a measurement that
-    clears the coarse threshold moves the run to the fine phase and keeps
-    the settings that earned it; re-solving from a noisy snapshot of an
-    already-good state would only re-randomize it at the
-    measurement-noise floor.  Below the threshold, the cycle corrects
-    from ``run.best``, using its voltages, reading and retardances; after
-    a regression, that restores the best setting before the inference.
+    The first cycle always solves: the probe exists to seed the solver,
+    not to be judged.  A later reading below the coarse threshold and no
+    worse than the one before it is solved from again.  Otherwise it
+    cleared the threshold or regressed, and the run moves to the fine
+    phase: a re-solve would only re-randomize a good state at the noise
+    floor, or repeat a solve that made things worse.  Below the fine
+    threshold, that reading's fine correction is actuated at once.
     """
     stokes = measure(run.state.voltages)
     fid = fidelity(stokes, target)
-    first = run.best is None
+    previous = run.current_fidelity
     rec = run.record("coarse", stokes, fid)
-    run.current_fidelity = fid
-    if first or fid >= run.best.fidelity:
-        run.best = rec
-    if fid >= config.coarse_threshold:
+    if fid >= config.coarse_threshold or fid < previous:
         run.phase = "fine"
-        if not first:
+        if previous > -math.inf:  # not the first cycle
+            if fid < config.fine_threshold:
+                run.state = CompensatorState(_fine_correction(rec, target, run.curves))
             return run
 
-    best = run.best
-    seen, target_eff = NormalizedStokes(*best.stokes), target
-    if len(best.retardances) == 4:
-        rows4 = _lcvr_rows(_STACK_ANGLES[3], best.retardances[3])
-        seen = _unrotate(rows4, seen)
-        target_eff = _unrotate(rows4, target)
-    s_dis = infer_disturbed(seen, best.retardances[:3])
+    seen, target_eff = stokes, target
+    if len(rec.retardances) == 4:
+        rows4 = _lcvr_rows(_STACK_ANGLES[3], rec.retardances[3])
+        seen, target_eff = _unrotate(rows4, seen), _unrotate(rows4, target)
+    s_dis = infer_disturbed(seen, rec.retardances[:3])
     solved = solve_retardances(s_dis, target_eff, curves[:3])
-    run.state = CompensatorState((*solved, *best.voltages[3:]))
+    run.state = CompensatorState((*solved, *rec.voltages[3:]))
     return run
 
 
@@ -352,54 +379,19 @@ def fine_tune_step(
     measure: MeasurementProvider,
     config: LoopConfig,
 ) -> CompensationRun:
-    """One fine-phase probe: nudge one cell's voltage and keep improvements.
-
-    Cells are visited round-robin; each keeps a remembered direction that
-    flips whenever a nudge fails.  A failed nudge reverts the voltage and
-    advances to the next cell.  The comparison baseline is a running
-    estimate of the held setting's reading: a kept move resets it to the
-    reading that won, a failed one relaxes it toward the reading that
-    lost.  Without the relaxation a single optimistic reading would
-    become a bar that no honest later reading can clear, freezing the
-    climb on a noisy bench.  The caller tests the fine threshold before
-    the next probe: a kept move sets ``run.current_fidelity`` to its
-    reading, and a failed one only lowers it.  No-op, apart from marking
-    the run ``fine_threshold_met``, if the run already sits at or above
-    the threshold.
+    """One fine cycle: measure, record, and below the fine threshold
+    actuate the reading's Gauss-Newton correction.  No-op, apart from
+    marking the run ``fine_threshold_met``, if the latest reading already
+    sits at or above the threshold.
     """
     if run.current_fidelity >= config.fine_threshold:
         run.reason = "fine_threshold_met"
         return run
-
-    n = len(run.state.voltages)
-    for _ in range(2 * n):
-        i = run.fine_index
-        direction = run.fine_directions[i]
-        v_new = run.state.voltages[i] + direction * _FINE_STEP_V
-        lo, hi = run.curves[i].voltage_span
-        if lo <= v_new <= hi:
-            break
-        # Out of actuation range: treat as a failed direction, no measurement.
-        run.fine_directions[i] = -direction
-        run.fine_index = (i + 1) % n
-    else:  # pragma: no cover - every cell has one feasible direction
-        raise RuntimeError("no feasible fine-tune move")
-
-    voltages = list(run.state.voltages)
-    voltages[i] = v_new
-    previous = run.state
-    run.state = CompensatorState(tuple(voltages))
     stokes = measure(run.state.voltages)
     fid = fidelity(stokes, run.target)
-    run.record("fine", stokes, fid)
-
-    if fid > run.current_fidelity:
-        run.current_fidelity = fid  # keep the move, stay on this cell
-    else:
-        run.state = previous
-        run.fine_directions[i] = -direction
-        run.fine_index = (i + 1) % n
-        run.current_fidelity += _BASELINE_RELAXATION * (fid - run.current_fidelity)
+    rec = run.record("fine", stokes, fid)
+    if fid < config.fine_threshold:
+        run.state = CompensatorState(_fine_correction(rec, run.target, run.curves))
     return run
 
 

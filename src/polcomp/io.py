@@ -31,6 +31,7 @@ import numpy as np
 from .compensation import CompensationRun
 from .lcvr import CharacterizationSweep, RetardanceCurve
 from .polarimetry import PolarimeterScan
+from .stokes import UNIT_NORM_TOL
 
 __all__ = [
     "FileFormatError",
@@ -219,7 +220,7 @@ def read_scan(path: str | os.PathLike) -> PolarimeterScan:
 
 def read_scan_metadata(path: str | os.PathLike) -> dict:
     """Sidecar of a scan file, as a plain dict (empty if absent); a
-    ``true_state`` must be three finite numbers and comes back as floats."""
+    ``true_state`` must be a unit three-vector and comes back as floats."""
     side = sidecar_path(path)
     try:
         meta = read_json_doc(side)
@@ -230,6 +231,8 @@ def read_scan_metadata(path: str | os.PathLike) -> dict:
         values = [_json_float(x) for x in state] if isinstance(state, list) else []
         if not (len(values) == 3 and all(x is not None and math.isfinite(x) for x in values)):
             raise FileFormatError(f"{side}: sidecar 'true_state' must be three finite numbers")
+        if abs(math.sqrt(sum(x * x for x in values)) - 1.0) > UNIT_NORM_TOL:
+            raise FileFormatError(f"{side}: sidecar 'true_state' is not unit-norm")
         meta["true_state"] = values
     return meta
 
@@ -292,6 +295,8 @@ def read_curve(path: str | os.PathLike) -> RetardanceCurve:
     wavelength = meta.get("wavelength_nm")
     if wavelength is not None:
         wavelength = _sidecar_float(side, meta, "wavelength_nm")
+        if not 0.0 < wavelength < math.inf:
+            raise FileFormatError(f"{side}: sidecar 'wavelength_nm' must be in (0, inf)")
     fold_count = meta.get("fold_count")
     if fold_count is not None and not (type(fold_count) is int and fold_count >= 0):
         raise FileFormatError(f"{side}: sidecar 'fold_count' must be a non-negative integer")

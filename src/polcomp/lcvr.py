@@ -142,6 +142,8 @@ class RetardanceCurve:
             raise ValueError("retardances must be finite")
         if np.any(np.diff(self.drive_voltages) <= 0.0):
             raise ValueError("drive voltages must be strictly increasing")
+        if not (self.wavelength_nm is None or 0.0 < self.wavelength_nm < math.inf):
+            raise ValueError(f"wavelength_nm must be in (0, inf), got {self.wavelength_nm!r}")
         if not (math.isfinite(self.voltage_step) and self.voltage_step >= 0.0):
             raise ValueError(
                 f"voltage_step must be finite and non-negative, got {self.voltage_step!r}"

@@ -281,8 +281,8 @@ def test_step_statistics_are_pinned():
     assert lab.to_json() == {
         "trials": 200,
         "mean_steps_to_97": 1.985,
-        "mean_steps_to_99": 2.125,
-        "mean_steps_to_995": 2.77,
+        "mean_steps_to_99": 2.11,
+        "mean_steps_to_995": 2.485,
         "unreached_97": 0,
         "unreached_99": 0,
         "unreached_995": 0,
@@ -293,8 +293,8 @@ def test_step_statistics_are_pinned():
     assert stale.to_json() == {
         "trials": 200,
         "mean_steps_to_97": 2.07,
-        "mean_steps_to_99": 3.76,
-        "mean_steps_to_995": 7.525,
+        "mean_steps_to_99": 2.445,
+        "mean_steps_to_995": 2.915,
         "unreached_97": 0,
         "unreached_99": 0,
         "unreached_995": 0,
@@ -334,9 +334,9 @@ def _pinned_runs(cells, curve_error):
 
 
 @pytest.mark.parametrize("config, digest", zip(_PINNED_CONFIGS, [
-    "2366bdbf0725d287796c7d5c2d358831cc7c64fbe038d247fe397fcb82f275db",
-    "8fb1838ee3e99db3e04d6a0c179ff49a7ce593614eccdbfaf1c626a10f26b32a",
-    "771511af5be506f876af6d366c7502a09d8bd39a32e199878c0b000cd03442d1",
+    "4a2e744a74286cf58b9b0921b0984b4fe2e14e210eec8ce402dcf5af131590dc",
+    "834b134c37c983b496c8cb22083e19cf9c508a0d074d097e1823bbaaa543ddef",
+    "ab6da1698b054f081f96747fe57ebb6649ad399700dc19f420f6861a2c0d5bff",
 ]), ids=_PINNED_IDS)
 def test_decisions_are_pinned(config, digest):
     # Behaviour: every stop reason, phase and applied voltage.  A change
@@ -347,9 +347,9 @@ def test_decisions_are_pinned(config, digest):
 
 
 @pytest.mark.parametrize("config, digest", zip(_PINNED_CONFIGS, [
-    "be1bfe6fdceaca8c1a89eea6868d107865ad9ebf4f42c10fab20b4467fe08788",
-    "d6e9de6e91baeec2c9cfd47b468ef22e74e63206e35796974e2ac48b333c0ea8",
-    "ad04e53e830646002e9a9d087c0295307e0335bcca37655be08598f587ddae81",
+    "87c5360247d4bec8dca0a9211caa773ccae0fc954dbbced520f83b6f1964c9f2",
+    "03dc878d67773bee01e52a6f9928556f5f19fa3ecbc89ccfc3e15ea259b79da4",
+    "76b6fd24420bde8064eff5744bf87d2d310ee07672490dd7f5fef8a425638e5d",
 ]), ids=_PINNED_IDS)
 def test_full_transcripts_are_pinned(config, digest):
     # Bits: every recorded float at full precision.  A bit-identical change

@@ -94,7 +94,7 @@ def _edit_sidecar(path, **changes):
     side.write_text(json.dumps(meta))
 
 
-@pytest.mark.parametrize("state", [None, [1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("state", [None, [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
 def test_tomography_malformed_true_state_is_a_data_error(tmp_path, capsys, state):
     p = tmp_path / "one.csv"
     write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, TWO_PI / 310), true_state=[1, 0, 0])
@@ -109,6 +109,15 @@ def test_tomography_non_unit_true_state_is_a_data_error(tmp_path, capsys):
     write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, TWO_PI / 310), true_state=[1, 1, 0])
     assert main(["tomography", str(p)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wavelength", ["nan", "-780", "0", "inf"])
+def test_characterize_rejects_a_bad_wavelength(sweep_file, tmp_path, capsys, wavelength):
+    out = tmp_path / "c.csv"
+    assert main(["characterize", str(sweep_file), "-o", str(out),
+                 "--wavelength-nm", wavelength]) == 1
+    assert "wavelength_nm" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_characterize_bad_sweep_sidecar_is_a_data_error(sweep_file, tmp_path, capsys):

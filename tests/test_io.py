@@ -321,6 +321,29 @@ def test_curve_voltage_step_must_be_finite_and_non_negative(tmp_path, step):
         read_curve(p)
 
 
+@pytest.mark.parametrize("wavelength", [math.nan, -780.0, 0.0, math.inf])
+def test_curve_wavelength_must_be_finite_and_positive(tmp_path, wavelength):
+    base = synthetic_curve_set(1)[0]
+    with pytest.raises(ValueError, match="wavelength_nm"):
+        RetardanceCurve(base.drive_voltages, base.retardances, base.retardance_errors,
+                        wavelength_nm=wavelength)
+    p = tmp_path / "curve.csv"
+    write_curve(p, base)
+    _edit_sidecar(p, wavelength_nm=wavelength)
+    with pytest.raises(FileFormatError, match="curve.json.*'wavelength_nm'"):
+        read_curve(p)
+
+
+def test_scan_true_state_must_be_unit_norm(tmp_path):
+    p = tmp_path / "scan.csv"
+    write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310))
+    _edit_sidecar(p, true_state=[1.0, 1.0, 0.0])
+    with pytest.raises(FileFormatError, match=r"scan.json.*'true_state'.*unit-norm"):
+        read_scan_metadata(p)
+    _edit_sidecar(p, true_state=[1.0 + 1e-7, 0.0, 0.0])  # within UNIT_NORM_TOL
+    assert read_scan_metadata(p)["true_state"] == [1.0 + 1e-7, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("line, where", [
     ("5", ":2:"),
     ("[1, 2]", ":2:"),

@@ -1,4 +1,4 @@
-"""Property tests: invariants of the retardance solve, the curve lookups,
+"""Property tests: invariants of the retardance solve, the fine step, the curve lookups,
 retarder inversion, the 3-vector rotations against the 4x4 algebra, the
 scan estimator, unwrapping and the file formats, checked over generated
 inputs."""
@@ -13,8 +13,23 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import profile, rescaled_curve_set, sweep_from_profile
-from polcomp.bench import synthetic_curve_set, synthetic_retardance_curve
-from polcomp.compensation import _solution_family, infer_disturbed, solve_retardances
+from polcomp.bench import (
+    NoiseModel,
+    VirtualApparatus,
+    random_disturbance,
+    synthetic_curve_set,
+    synthetic_retardance_curve,
+)
+from polcomp.compensation import (
+    CompensationRun,
+    CompensatorState,
+    LoopConfig,
+    _solution_family,
+    coarse_step,
+    fine_tune_step,
+    infer_disturbed,
+    solve_retardances,
+)
 from polcomp.io import read_curve, read_scan, read_sweep, write_curve, write_scan, write_sweep
 from polcomp.lcvr import (
     FOLD_THRESHOLD,
@@ -35,6 +50,7 @@ from polcomp.stokes import (
     _rotate,
     _triple_rows,
     apply,
+    cardinal_target,
     compose,
     fidelity,
     invert_retarder,
@@ -102,6 +118,32 @@ def _reference_solve(u, t, curves):
     else:
         row = rows[int(np.argmin(outside))]
     return tuple(voltage_for_retardance(c, d) for c, d in zip(curves, row.tolist()))
+
+
+_STACK = synthetic_curve_set(4)
+_KICK = st.floats(-0.3, 0.3, allow_nan=False)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kick=st.tuples(_KICK, _KICK, _KICK, _KICK))
+def test_one_fine_correction_raises_fidelity_inside_the_spans(seed, kick):
+    # Noise-free, unbiased bench: solve, knock every cell off the solution,
+    # then take one fine cycle from a setting that reads in [0.9, 0.995).
+    target, config = cardinal_target("H"), LoopConfig()
+    app = VirtualApparatus(disturbance=random_disturbance(seed), curves=_STACK,
+                           noise=NoiseModel.none())
+    run = CompensationRun.begin(_STACK, target, config)
+    coarse_step(run, app, _STACK, target, config)
+    spans = [c.voltage_span for c in _STACK]
+    run.state = CompensatorState(tuple(
+        min(max(v + k, lo), hi) for v, k, (lo, hi) in zip(run.state.voltages, kick, spans)
+    ))
+    run.phase = "fine"
+    fine_tune_step(run, app, config)
+    before = run.current_fidelity
+    assume(0.9 <= before < config.fine_threshold)
+    assert all(lo <= v <= hi for v, (lo, hi) in zip(run.state.voltages, spans))
+    assert fidelity(app(run.state.voltages), target) > before
 
 
 def _plateau(curve):
