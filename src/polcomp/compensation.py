@@ -7,7 +7,8 @@ computed from it.  The coarse correction infers the state entering the
 stack and solves directly for the voltages that map it onto the target.
 Once a reading clears the coarse threshold or regresses, the fine
 correction is one Gauss-Newton step on the measured error, until the
-fine threshold (or the step budget) is reached.
+fine threshold (or the step budget) is reached; a fine reading that
+falls below the coarse threshold and the one before it is solved from.
 
 The retardance solve is closed-form.  The 0/45/0 stack turns the
 sphere about S1, then S2, then S1: an Euler-angle chart of SO(3), so the
@@ -336,6 +337,22 @@ def _fine_correction(
     )
 
 
+def _solve_from(
+    rec: StepRecord, target: NormalizedStokes, curves: Sequence[RetardanceCurve]
+) -> tuple[float, ...]:
+    """Drive voltages of the closed-form solve from the reading ``rec``.
+
+    A fourth cell keeps its voltage; its rotation is taken off both the
+    reading and the target before the three solving cells are solved.
+    """
+    seen, target_eff = NormalizedStokes(*rec.stokes), target
+    if len(rec.retardances) == 4:
+        rows4 = _lcvr_rows(_STACK_ANGLES[3], rec.retardances[3])
+        seen, target_eff = _unrotate(rows4, seen), _unrotate(rows4, target)
+    s_dis = infer_disturbed(seen, rec.retardances[:3])
+    return (*solve_retardances(s_dis, target_eff, curves[:3]), *rec.voltages[3:])
+
+
 def coarse_step(
     run: CompensationRun,
     measure: MeasurementProvider,
@@ -363,14 +380,7 @@ def coarse_step(
             if fid < config.fine_threshold:
                 run.state = CompensatorState(_fine_correction(rec, target, run.curves))
             return run
-
-    seen, target_eff = stokes, target
-    if len(rec.retardances) == 4:
-        rows4 = _lcvr_rows(_STACK_ANGLES[3], rec.retardances[3])
-        seen, target_eff = _unrotate(rows4, seen), _unrotate(rows4, target)
-    s_dis = infer_disturbed(seen, rec.retardances[:3])
-    solved = solve_retardances(s_dis, target_eff, curves[:3])
-    run.state = CompensatorState((*solved, *rec.voltages[3:]))
+    run.state = CompensatorState(_solve_from(rec, target, curves))
     return run
 
 
@@ -380,17 +390,22 @@ def fine_tune_step(
     config: LoopConfig,
 ) -> CompensationRun:
     """One fine cycle: measure, record, and below the fine threshold
-    actuate the reading's Gauss-Newton correction.  No-op, apart from
-    marking the run ``fine_threshold_met``, if the latest reading already
-    sits at or above the threshold.
+    correct from the reading: by the solve if it fell below the coarse
+    threshold and the reading before (a local step through a cell on a
+    flat stretch swings further), else by its Gauss-Newton step.  No-op,
+    apart from marking the run ``fine_threshold_met``, if the latest
+    reading already sits at or above the threshold.
     """
-    if run.current_fidelity >= config.fine_threshold:
+    previous = run.current_fidelity
+    if previous >= config.fine_threshold:
         run.reason = "fine_threshold_met"
         return run
     stokes = measure(run.state.voltages)
     fid = fidelity(stokes, run.target)
     rec = run.record("fine", stokes, fid)
-    if fid < config.fine_threshold:
+    if fid < config.coarse_threshold and fid < previous:
+        run.state = CompensatorState(_solve_from(rec, run.target, run.curves))
+    elif fid < config.fine_threshold:
         run.state = CompensatorState(_fine_correction(rec, run.target, run.curves))
     return run
 
@@ -428,6 +443,8 @@ def run_compensation(
             return run
         fine_tune_step(run, apparatus, config)
     run.reason = "fine_threshold_met"
+    # The stack stays at the measured setting that met the threshold.
+    run.state = CompensatorState(run.steps[-1].voltages)
     return run
 
 

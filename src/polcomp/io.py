@@ -22,6 +22,7 @@ import csv
 import io as _stdio
 import json
 import math
+import numbers
 import os
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -158,31 +159,40 @@ def write_scan(
     """Write a polarimeter scan (CSV) and its sidecar.
 
     The optional ``true_state`` (a known input, unit three-vector) lands
-    in the sidecar for later fidelity accounting.
+    in the sidecar for later fidelity accounting; one that
+    :func:`read_scan_metadata` would refuse raises ``ValueError`` first.
     """
     path = Path(path)
-    rows = zip(np.degrees(scan.angles), scan.voltages)
-    _write_csv(path, SCAN_HEADER, rows)
     meta: dict[str, Any] = {
         "background_voltage_v": float(scan.background_voltage),
         "offset_alpha_deg": float(math.degrees(scan.offset_alpha)),
     }
     if true_state is not None:
-        if len(true_state) != 3:
-            raise ValueError("true_state must be a unit three-vector")
-        meta["true_state"] = [float(x) for x in true_state]
+        meta["true_state"] = _checked_true_state(list(true_state))
+    _write_csv(path, SCAN_HEADER, zip(np.degrees(scan.angles), scan.voltages))
     write_json_doc(sidecar_path(path), meta)
 
 
 def _json_float(value: Any) -> float | None:
-    """``value`` as a float if it is a JSON number (an int or a float, never
-    a bool) in float range, else ``None``."""
-    if type(value) not in (int, float):
+    """``value`` as a float if it is a real number (a JSON int or float,
+    never a bool) in float range, else ``None``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return None
     try:
         return float(value)
     except OverflowError:
         return None
+
+
+def _checked_true_state(state: Any) -> list[float]:
+    """``state`` as three floats; it must be a list of three finite
+    numbers whose norm is 1 within ``UNIT_NORM_TOL``."""
+    values = [_json_float(x) for x in state] if isinstance(state, list) else []
+    if not (len(values) == 3 and all(x is not None and math.isfinite(x) for x in values)):
+        raise ValueError("'true_state' must be three finite numbers")
+    if abs(math.sqrt(sum(x * x for x in values)) - 1.0) > UNIT_NORM_TOL:
+        raise ValueError("'true_state' is not unit-norm")
+    return values
 
 
 def _sidecar_float(path: Path, meta: dict, key: str, default: float | None = None) -> float:
@@ -227,13 +237,10 @@ def read_scan_metadata(path: str | os.PathLike) -> dict:
     except FileNotFoundError:
         return {}
     if "true_state" in meta:
-        state = meta["true_state"]
-        values = [_json_float(x) for x in state] if isinstance(state, list) else []
-        if not (len(values) == 3 and all(x is not None and math.isfinite(x) for x in values)):
-            raise FileFormatError(f"{side}: sidecar 'true_state' must be three finite numbers")
-        if abs(math.sqrt(sum(x * x for x in values)) - 1.0) > UNIT_NORM_TOL:
-            raise FileFormatError(f"{side}: sidecar 'true_state' is not unit-norm")
-        meta["true_state"] = values
+        try:
+            meta["true_state"] = _checked_true_state(meta["true_state"])
+        except ValueError as exc:
+            raise FileFormatError(f"{side}: sidecar {exc}") from None
     return meta
 
 

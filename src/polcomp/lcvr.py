@@ -9,9 +9,10 @@ Inverting the cosine gives only the principal value ``arccos`` in
 ``[0, pi]``; a full-wave cell folds the true curve at every multiple of
 pi.  A nematic cell's curve is monotone, so its folds alternate between
 0 and pi: a run of visits to one boundary is one fold.
-:func:`unwrap_retardance` flips the branch once per such visit, at the
-position that minimizes the discontinuity of the rebuilt curve (its
-local second differences).  :func:`build_curve` then orients the
+:func:`unwrap_retardance` flips the branch once per such visit, next to
+the visit's sample nearest the boundary, on the side that a three-sample
+closed form gives: exact wherever the curve's second difference is
+constant across the fold.  :func:`build_curve` then orients the
 result as a monotonically non-increasing curve (retardance drops as
 voltage rises in a nematic cell) and shifts it into the physical branch
 whose minimum lies in the first wave.
@@ -315,54 +316,26 @@ def _boundary_runs(raw: np.ndarray) -> list[tuple[int, int, int]]:
     return [(int(v[0]), int(v[-1]), int(label[v[0]])) for v in visits if v.size]
 
 
-def _flipped_branch(s: int, k: int, boundary: int) -> tuple[int, int]:
-    # Continuity across a fold: out = s*raw + 2*pi*k.  A fold at 0 keeps
-    # the offset; a fold at pi shifts it by one wave in the old direction.
-    if boundary == 0:
-        return -s, k
-    return -s, k + s
+def _fold_end(raw: np.ndarray, a: int, b: int, boundary: int) -> int:
+    """Last sample before the fold of the interior visit ``(a, b)``.
 
-
-def _choose_flip(
-    raw: np.ndarray,
-    a: int,
-    b: int,
-    boundary: int,
-    s: int,
-    k: int,
-    lo_limit: int,
-    hi_limit: int,
-) -> int:
-    """Flip position (between j and j+1) minimizing local second differences.
-
-    ``(a, b)`` is an interior visit, ``lo_limit`` the first sample after
-    the previous flip and ``hi_limit`` the last sample before the next
-    visit.  Visits alternate, and samples near opposite boundaries are
-    never adjacent (a jump of more than pi - 2 * FOLD_THRESHOLD, which
-    the unwrap rejects), so ``lo_limit <= a - 1`` and ``hi_limit >= b + 1``.
-    The scoring window therefore holds at least three samples, and every
-    candidate ``j`` in ``[a - 1, b]`` gets a second-difference score.
-
-    The choice is local, so even noise-free data is not always rebuilt
-    exactly: the flip can land one sample off its fold, and that sample
-    comes back mirrored about the branch boundary.  Each rebuilt sample
-    stays within twice its distance to the nearest boundary of its true
-    value.
+    ``d`` is each sample's distance to the boundary.  The fold lies next
+    to the visit's nearest sample ``m``; sign the curve ``y`` positive
+    before the fold, so ``d[m-1] - d[m+1] = 2 y[m] + c`` with ``c`` its
+    second difference.  ``c`` is taken as the mean of the one-sided second
+    differences three samples out, all before the fold on the left and
+    all after it on the right (0 near the sequence ends), and the sign of
+    ``y[m]`` says which side of the fold ``m`` is on.  This is exact for
+    any crossing with a constant second difference.  The sample before
+    the visit always keeps the old branch and the one after it takes the
+    new one, so the choice changes only samples inside the visit.
     """
-    two_pi = 2.0 * math.pi
-    s2, k2 = _flipped_branch(s, k, boundary)
-    w0 = max(a - 3, lo_limit)
-    w1 = min(b + 3, hi_limit)
-    window = raw[w0 : w1 + 1]
-    positions = np.arange(w0, w1 + 1)
-    candidates = np.arange(a - 1, b + 1)
-    # One row per candidate: the window rebuilt with the flip after it.
-    segs = np.where(
-        positions <= candidates[:, None], s * window + two_pi * k, s2 * window + two_pi * k2
-    )
-    costs = np.abs(np.diff(segs, 2, axis=1)).sum(axis=1)
-    # argmin takes the first of equal costs, the earliest flip.
-    return int(candidates[np.argmin(costs)])
+    d = raw if boundary == 0 else math.pi - raw
+    m = a + int(np.argmin(d[a : b + 1]))  # the first of equal distances
+    c = 0.0
+    if 3 <= m <= raw.size - 4:
+        c = (d[m - 3] - 2.0 * d[m - 2] + d[m - 1] - d[m + 1] + 2.0 * d[m + 2] - d[m + 3]) / 2.0
+    return m - 1 if d[m - 1] - d[m + 1] - c < 0.0 else m
 
 
 def _unwrap_with_folds(raw: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -386,15 +359,15 @@ def _unwrap_with_folds(raw: np.ndarray) -> tuple[np.ndarray, list[int]]:
     s, k = 1, 0
     pos = 0
     folds: list[int] = []
-    runs = _boundary_runs(raw)
-    for ridx, (a, b, boundary) in enumerate(runs):
+    for a, b, boundary in _boundary_runs(raw):
         if a <= 0 or b >= n - 1:
             continue  # a reversal cannot be confirmed at the sequence ends
-        hi_limit = runs[ridx + 1][0] - 1 if ridx + 1 < len(runs) else n - 1
-        j = _choose_flip(raw, a, b, boundary, s, k, pos, hi_limit)
+        j = _fold_end(raw, a, b, boundary)
         out[pos : j + 1] = s * raw[pos : j + 1] + two_pi * k
         pos = j + 1
-        s, k = _flipped_branch(s, k, boundary)
+        # Continuity across a fold: out = s*raw + 2*pi*k.  A fold at 0 keeps
+        # the offset; a fold at pi shifts it by one wave in the old direction.
+        s, k = -s, k + s * boundary
         folds.append(j)
     out[pos:] = s * raw[pos:] + two_pi * k
     if np.any(np.abs(np.diff(out)) >= math.pi / 2.0):

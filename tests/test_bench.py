@@ -294,7 +294,7 @@ def test_step_statistics_are_pinned():
         "trials": 200,
         "mean_steps_to_97": 2.07,
         "mean_steps_to_99": 2.445,
-        "mean_steps_to_995": 2.915,
+        "mean_steps_to_995": 2.935,
         "unreached_97": 0,
         "unreached_99": 0,
         "unreached_995": 0,
@@ -334,9 +334,9 @@ def _pinned_runs(cells, curve_error):
 
 
 @pytest.mark.parametrize("config, digest", zip(_PINNED_CONFIGS, [
-    "4a2e744a74286cf58b9b0921b0984b4fe2e14e210eec8ce402dcf5af131590dc",
-    "834b134c37c983b496c8cb22083e19cf9c508a0d074d097e1823bbaaa543ddef",
-    "ab6da1698b054f081f96747fe57ebb6649ad399700dc19f420f6861a2c0d5bff",
+    "fce0ba4832668e766a373f78971013100a8329cd312aa3de2ed37e6b122a2ef5",
+    "2db38092c5f1a7c7f578e65a907418992a4cc4bd9bbf14c4cef43c981c3f94dc",
+    "68e3827c516dbd3d96ca37db304093f15a713fd679e8084f0f3beb10b43514d0",
 ]), ids=_PINNED_IDS)
 def test_decisions_are_pinned(config, digest):
     # Behaviour: every stop reason, phase and applied voltage.  A change
@@ -347,9 +347,9 @@ def test_decisions_are_pinned(config, digest):
 
 
 @pytest.mark.parametrize("config, digest", zip(_PINNED_CONFIGS, [
-    "87c5360247d4bec8dca0a9211caa773ccae0fc954dbbced520f83b6f1964c9f2",
-    "03dc878d67773bee01e52a6f9928556f5f19fa3ecbc89ccfc3e15ea259b79da4",
-    "76b6fd24420bde8064eff5744bf87d2d310ee07672490dd7f5fef8a425638e5d",
+    "1b6df84e83767bd299f16918f3e155a84021566ab802c876adcea28b7a662fc4",
+    "1dd6c75c2b8cba2e2845fedf30f599a518ef3683bfdb47ce1e127584408dca74",
+    "317cd59ab793801837c024016f8e57f058589376d2c2c7b9c534e51487b7e959",
 ]), ids=_PINNED_IDS)
 def test_full_transcripts_are_pinned(config, digest):
     # Bits: every recorded float at full precision.  A bit-identical change

@@ -106,7 +106,8 @@ def test_tomography_malformed_true_state_is_a_data_error(tmp_path, capsys, state
 
 def test_tomography_non_unit_true_state_is_a_data_error(tmp_path, capsys):
     p = tmp_path / "one.csv"
-    write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, TWO_PI / 310), true_state=[1, 1, 0])
+    write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, TWO_PI / 310), true_state=[1, 0, 0])
+    _edit_sidecar(p, true_state=[1, 1, 0])  # write_scan refuses to write it
     assert main(["tomography", str(p)]) == 1
     assert "error:" in capsys.readouterr().err
 

@@ -115,10 +115,15 @@ def test_sweep_sidecar_of_the_wrong_type_names_its_key(tmp_path, noisy_sweep, va
                                    ["1", 0.0, 0.0], [math.nan, 0.0, 1.0], "H"])
 def test_scan_true_state_must_be_three_finite_numbers(tmp_path, state):
     p = tmp_path / "scan.csv"
-    write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310))
+    scan = simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310)
+    write_scan(p, scan)
     _edit_sidecar(p, true_state=state)
     with pytest.raises(FileFormatError, match="scan.json.*true_state"):
         read_scan_metadata(p)
+    if state is not None:  # None is how a caller writes no true state
+        with pytest.raises(ValueError, match="true_state"):
+            write_scan(tmp_path / "refused.csv", scan, true_state=state)
+        assert not (tmp_path / "refused.csv").exists()
 
 
 def test_scan_requires_sidecar(tmp_path):
@@ -306,6 +311,9 @@ def test_scan_true_state_rejects_bools_and_huge_ints(tmp_path):
         _edit_sidecar(p, true_state=state)
         with pytest.raises(FileFormatError, match="scan.json.*true_state"):
             read_scan_metadata(p)
+        with pytest.raises(ValueError, match="true_state"):
+            write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310),
+                       true_state=state)
 
 
 @pytest.mark.parametrize("step", [-0.5, math.nan, math.inf])
@@ -340,7 +348,13 @@ def test_scan_true_state_must_be_unit_norm(tmp_path):
     _edit_sidecar(p, true_state=[1.0, 1.0, 0.0])
     with pytest.raises(FileFormatError, match=r"scan.json.*'true_state'.*unit-norm"):
         read_scan_metadata(p)
+    scan = simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310)
+    for state in ([1.0, 1.0, 0.0], [2.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="'true_state'.*unit-norm"):
+            write_scan(tmp_path / "refused.csv", scan, true_state=state)
     _edit_sidecar(p, true_state=[1.0 + 1e-7, 0.0, 0.0])  # within UNIT_NORM_TOL
+    assert read_scan_metadata(p)["true_state"] == [1.0 + 1e-7, 0.0, 0.0]
+    write_scan(p, scan, true_state=np.array([1.0 + 1e-7, 0.0, 0.0]))
     assert read_scan_metadata(p)["true_state"] == [1.0 + 1e-7, 0.0, 0.0]
 
 

@@ -111,14 +111,53 @@ def test_same_boundary_visits_are_one_fold():
 
 def test_single_sample_visits_in_three_sample_windows():
     # Steps just under pi/2 put one sample in each boundary region with a
-    # single sample between visits, so each flip is scored on a window of
-    # three samples: the two candidates differ in one second difference.
+    # single sample between visits: each fold is placed from a one-sample
+    # visit and its two neighbours, one on either side of the fold.
     t = -0.05 + (math.pi / 2 - 0.02) * np.arange(-1, 6)
     raw = np.arccos(np.cos(t))
     out, folds = _unwrap_with_folds(raw)
     assert folds == [1, 3, 5]
     # The first sample sits on the reflected branch, so the rebuild is -t.
     np.testing.assert_allclose(out, -t, rtol=0, atol=1e-12)
+
+
+def _rebuilt_error(true):
+    """Worst error of the unwrap of ``true``'s principal values against
+    ``true`` carried onto the branch of its first sample."""
+    raw = np.arccos(np.cos(true))
+    sign = 1.0 if math.sin(true[0]) > 0.0 else -1.0
+    return float(np.max(np.abs(unwrap_retardance(raw) - (raw[0] + sign * (true - true[0])))))
+
+
+@pytest.mark.parametrize("boundary", [math.pi, 2.0 * math.pi])
+@pytest.mark.parametrize(
+    "slope, curvature, offset",
+    [
+        # A fold a fortieth of a step past a sample: one sample off would
+        # mirror it, errors 2.5e-3 and 7.5e-3 rad.
+        (0.05, 0.004, 0.025),
+        (0.15, 0.01, 0.025),
+        (0.15, -0.01, -0.025),
+        (0.1, 0.0, 0.3),
+        (0.25, 0.02, 0.45),
+    ],
+)
+def test_evenly_curved_crossings_rebuild_exactly(boundary, slope, curvature, offset):
+    # A crossing whose second difference is constant: the closed form
+    # places its fold exactly, wherever the fold falls between samples.
+    x = np.arange(25) - 12 - offset
+    true = boundary - slope * x + 0.5 * curvature * x * x
+    assert _rebuilt_error(true) <= 1e-12
+
+
+def test_pinned_monotone_profile_rebuilds_exactly():
+    # The explicit example of test_unwrap_round_trips_monotone_profiles:
+    # sample 335 lies about 5e-4 rad from its fold at 2 pi, so placing the
+    # fold one sample off would mirror it (error 9.5e-4 rad).
+    v = np.linspace(0.1, 16.0, 344)
+    shape = 1.0 / (1.0 + v**1.5)
+    true = math.pi / 2 - 7.01953125 * (shape[0] - shape) / (shape[0] - shape[-1])
+    assert _rebuilt_error(true[::-1]) <= 1e-12
 
 
 def test_lab_noise_sweeps_never_invent_a_fold():
