@@ -120,7 +120,7 @@ def _config_from_args(args: argparse.Namespace) -> LoopConfig:
 
 def _add_loop_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--coarse-threshold", type=float, default=None,
-                     help="fidelity that ends the coarse phase (default 0.97)")
+                     help="a reading that falls below it is solved from (default 0.97)")
     sub.add_argument("--fine-threshold", type=float, default=None,
                      help="fidelity that ends the run (default 0.995)")
     sub.add_argument("--max-steps", type=int, default=None,

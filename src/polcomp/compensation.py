@@ -3,12 +3,13 @@
 The compensator is a stack of liquid-crystal retarders at 0/45/0 (and
 optionally a fourth at 45) degrees.  One *step* is one polarization
 measurement; each step records its reading and actuates a correction
-computed from it.  The coarse correction infers the state entering the
-stack and solves directly for the voltages that map it onto the target.
-Once a reading clears the coarse threshold or regresses, the fine
-correction is one Gauss-Newton step on the measured error, until the
-fine threshold (or the step budget) is reached; a fine reading that
-falls below the coarse threshold and the one before it is solved from.
+computed from it by one rule in both phases.  The first reading, and a
+later one below the coarse threshold and strictly below the one before
+it, are solved from: the state entering the stack is inferred and the
+voltages that map it onto the target are solved for directly.  Any other
+reading below the fine threshold takes one Gauss-Newton step on the
+measured error.  The run is in the coarse phase while each reading is
+solved from below the coarse threshold; the phase picks the step budget.
 
 The retardance solve is closed-form.  The 0/45/0 stack turns the
 sphere about S1, then S2, then S1: an Euler-angle chart of SO(3), so the
@@ -76,7 +77,11 @@ MeasurementProvider = Callable[[Sequence[float]], NormalizedStokes]
 
 @dataclass(frozen=True)
 class LoopConfig:
-    """Knobs of the compensation loop; defaults match the reference bench."""
+    """Knobs of the compensation loop; defaults match the reference bench.
+
+    ``max_coarse_steps`` caps the readings taken while each is solved from
+    below ``coarse_threshold``; ``max_fine_steps`` caps every later one.
+    """
 
     coarse_threshold: float = 0.97
     fine_threshold: float = 0.995
@@ -353,6 +358,18 @@ def _solve_from(
     return (*solve_retardances(s_dis, target_eff, curves[:3]), *rec.voltages[3:])
 
 
+def _correct(run: CompensationRun) -> bool:
+    """Actuate the correction of the latest reading by the rule stated in
+    :func:`coarse_step`; return whether it was solved from."""
+    rec, config = run.steps[-1], run.config
+    if len(run.steps) == 1 or rec.fidelity < min(config.coarse_threshold, run.steps[-2].fidelity):
+        run.state = CompensatorState(_solve_from(rec, run.target, run.curves))
+        return True
+    if rec.fidelity < config.fine_threshold:
+        run.state = CompensatorState(_fine_correction(rec, run.target, run.curves))
+    return False
+
+
 def coarse_step(
     run: CompensationRun,
     measure: MeasurementProvider,
@@ -362,25 +379,19 @@ def coarse_step(
 ) -> CompensationRun:
     """One coarse cycle: measure, record, then correct from that reading.
 
-    The first cycle always solves: the probe exists to seed the solver,
-    not to be judged.  A later reading below the coarse threshold and no
-    worse than the one before it is solved from again.  Otherwise it
-    cleared the threshold or regressed, and the run moves to the fine
-    phase: a re-solve would only re-randomize a good state at the noise
-    floor, or repeat a solve that made things worse.  Below the fine
-    threshold, that reading's fine correction is actuated at once.
+    One rule corrects every reading in both phases.  The first reading
+    (the probe seeds the solve), and a later one below the coarse
+    threshold and strictly below the one before it, are solved from; any
+    other reading below the fine threshold takes the Gauss-Newton step.
+    The run stays coarse, spending ``max_coarse_steps``, only while each
+    reading is solved from below the coarse threshold.  Curves, target and
+    config are read from ``run``.
     """
     stokes = measure(run.state.voltages)
-    fid = fidelity(stokes, target)
-    previous = run.current_fidelity
-    rec = run.record("coarse", stokes, fid)
-    if fid >= config.coarse_threshold or fid < previous:
+    rec = run.record("coarse", stokes, fidelity(stokes, run.target))
+    solved = _correct(run)
+    if not solved or rec.fidelity >= run.config.coarse_threshold:
         run.phase = "fine"
-        if previous > -math.inf:  # not the first cycle
-            if fid < config.fine_threshold:
-                run.state = CompensatorState(_fine_correction(rec, target, run.curves))
-            return run
-    run.state = CompensatorState(_solve_from(rec, target, curves))
     return run
 
 
@@ -389,24 +400,18 @@ def fine_tune_step(
     measure: MeasurementProvider,
     config: LoopConfig,
 ) -> CompensationRun:
-    """One fine cycle: measure, record, and below the fine threshold
-    correct from the reading: by the solve if it fell below the coarse
-    threshold and the reading before (a local step through a cell on a
-    flat stretch swings further), else by its Gauss-Newton step.  No-op,
+    """One fine cycle: measure, record, then correct from that reading by
+    the rule of :func:`coarse_step`, spending ``max_fine_steps``.  No-op,
     apart from marking the run ``fine_threshold_met``, if the latest
-    reading already sits at or above the threshold.
+    reading already sits at or above the fine threshold.  Config is read
+    from ``run``.
     """
-    previous = run.current_fidelity
-    if previous >= config.fine_threshold:
+    if run.current_fidelity >= run.config.fine_threshold:
         run.reason = "fine_threshold_met"
         return run
     stokes = measure(run.state.voltages)
-    fid = fidelity(stokes, run.target)
-    rec = run.record("fine", stokes, fid)
-    if fid < config.coarse_threshold and fid < previous:
-        run.state = CompensatorState(_solve_from(rec, run.target, run.curves))
-    elif fid < config.fine_threshold:
-        run.state = CompensatorState(_fine_correction(rec, run.target, run.curves))
+    run.record("fine", stokes, fidelity(stokes, run.target))
+    _correct(run)
     return run
 
 

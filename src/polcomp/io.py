@@ -80,8 +80,6 @@ def read_json_doc(path: str | os.PathLike) -> dict:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -106,11 +104,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]
 
 def _read_csv(path: Path, header: Sequence[str], nan_ok: Sequence[bool]) -> np.ndarray:
     """Parse a fixed-width numeric CSV into an (n_rows, n_cols) array."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
-    lines = text.splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise FileFormatError(f"{path}:1: empty file")
     reader = csv.reader(lines)

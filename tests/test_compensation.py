@@ -21,6 +21,7 @@ from polcomp.compensation import (
     LoopConfig,
     _fine_correction,
     _solution_family,
+    _solve_from,
     coarse_step,
     fine_tune_step,
     infer_disturbed,
@@ -248,65 +249,75 @@ def test_coarse_step_is_idempotent_at_target():
     assert run.steps[1].fidelity >= first - 1e-6
 
 
-def test_coarse_crossing_after_first_step_keeps_settings():
-    # Once a commanded correction measures above the coarse threshold the
-    # run carries *those* settings into the fine phase and takes the local
-    # step from them at once; re-solving from the noisy snapshot would
-    # re-randomize an already-good state.
+# One correction rule for every reading, in either phase.  The first
+# reading and a later fall below the coarse threshold are solved from; any
+# other reading below the fine threshold takes the local step; a reading at
+# or above it keeps the voltages.  The run stays coarse only while each
+# reading is solved from and below the coarse threshold.
+_READINGS = {"below_coarse": 0.5, "between": 0.99, "above_fine": 0.996}
+_VS_PREVIOUS = {"fell": 0.002, "tie": 0.0, "rose": -0.002}  # previous - reading
+_RULE_TABLE = [
+    # phase, reading, against the previous reading, correction, phase after
+    ("coarse", "below_coarse", "first", "solve", "coarse"),
+    ("coarse", "between", "first", "solve", "fine"),
+    ("coarse", "above_fine", "first", "solve", "fine"),
+    ("coarse", "below_coarse", "fell", "solve", "coarse"),
+    ("coarse", "below_coarse", "tie", "step", "fine"),
+    ("coarse", "below_coarse", "rose", "step", "fine"),
+    ("coarse", "between", "fell", "step", "fine"),
+    ("coarse", "between", "tie", "step", "fine"),
+    ("coarse", "between", "rose", "step", "fine"),
+    ("coarse", "above_fine", "fell", "keep", "fine"),
+    ("coarse", "above_fine", "tie", "keep", "fine"),
+    ("coarse", "above_fine", "rose", "keep", "fine"),
+    ("fine", "below_coarse", "fell", "solve", "fine"),
+    ("fine", "below_coarse", "tie", "step", "fine"),
+    ("fine", "below_coarse", "rose", "step", "fine"),
+    ("fine", "between", "fell", "step", "fine"),
+    ("fine", "between", "tie", "step", "fine"),
+    ("fine", "between", "rose", "step", "fine"),
+    # A fine reading after one at or above the fine threshold is never
+    # taken: the run is met (test_fine_tune_noop_when_already_met).
+    ("fine", "above_fine", "rose", "keep", "fine"),
+]
+
+
+@pytest.mark.parametrize("phase, reading, vs_previous, correction, phase_after", _RULE_TABLE)
+def test_one_correction_rule_for_every_reading(phase, reading, vs_previous, correction,
+                                               phase_after):
     target = cardinal_target("H")
     config = LoopConfig()
     curves = synthetic_curve_set(4)
     run = CompensationRun.begin(curves, target, config)
-    good = NormalizedStokes(0.98, math.sqrt(1.0 - 0.98**2), 0.0)  # fid 0.99
-    readings = iter([cardinal_target("D"), good])
-
-    def provider(_voltages):
-        return next(readings)
-
-    coarse_step(run, provider, curves, target, config)
-    assert run.phase == "coarse"
-    commanded = run.state.voltages
-    coarse_step(run, provider, curves, target, config)
-    assert run.phase == "fine"
-    assert run.steps[1].voltages == commanded
-    assert run.current_fidelity == pytest.approx(0.99)
-    assert run.state.voltages == _fine_correction(run.steps[1], target, curves)
-    # A 0.2 rad error takes a small move, not a jump to another solution.
-    moves = [abs(a - b) for a, b in zip(run.state.voltages, commanded)]
-    assert 0.0 < max(moves) < 0.1
-
-
-def test_coarse_regression_restores_best_setting():
-    # D, A, then a reading of fidelity 0.3 against H.  The tie at 0.5
-    # solves again from the newer reading; the regression hands the run to
-    # the fine phase, whose step starts from the regressed reading itself:
-    # no earlier setting is restored.
-    target = cardinal_target("H")
-    config = LoopConfig()
-    curves = synthetic_curve_set(4)
-    run = CompensationRun.begin(curves, target, config)
-    worse = NormalizedStokes(-0.4, math.sqrt(1.0 - 0.4**2), 0.0)
-    readings = iter([cardinal_target("D"), cardinal_target("A"), worse])
-
-    def provider(_voltages):
-        return next(readings)
-
-    coarse_step(run, provider, curves, target, config)
-    after_first = run.state.voltages
-    coarse_step(run, provider, curves, target, config)
-    assert run.steps[1].fidelity == run.steps[0].fidelity == pytest.approx(0.5)
-    assert run.steps[1].voltages == after_first
-    assert run.phase == "coarse" and run.state.voltages != after_first
-    after_second = run.state.voltages
-    coarse_step(run, provider, curves, target, config)
-    assert run.steps[2].fidelity == pytest.approx(0.3)
-    assert run.steps[2].voltages == after_second
-    assert run.phase == "fine" and run.coarse_used == 3
-    assert run.state.voltages == _fine_correction(run.steps[2], target, curves)
-    for rec in run.steps:
-        assert rec.retardances == tuple(
-            retardance_for_voltage(c, v) for c, v in zip(curves, rec.voltages)
-        )
+    u1 = 2.0 * _READINGS[reading] - 1.0
+    seen = NormalizedStokes(u1, math.sqrt(1.0 - u1 * u1), 0.0)
+    fid = fidelity(seen, target)
+    if vs_previous != "first":
+        prev = run.record(phase, cardinal_target("D"), fid + _VS_PREVIOUS[vs_previous])
+        run.state = replace(run.state, voltages=_solve_from(prev, target, curves))
+    run.phase = phase
+    applied = run.state.voltages
+    if phase == "coarse":
+        coarse_step(run, lambda _v: seen, curves, target, config)
+    else:
+        fine_tune_step(run, lambda _v: seen, config)
+    rec = run.steps[-1]
+    assert rec.phase == phase and rec.voltages == applied and rec.fidelity == fid
+    assert rec.retardances == tuple(
+        retardance_for_voltage(c, v) for c, v in zip(curves, applied)
+    )
+    candidates = {
+        "solve": _solve_from(rec, target, curves),
+        "step": _fine_correction(rec, target, curves),
+        "keep": applied,
+    }
+    assert len(set(candidates.values())) == 3
+    assert run.state.voltages == candidates[correction]
+    if correction == "step" and reading == "between":
+        # A 0.2 rad error takes a small move, not a jump to another solution.
+        moves = [abs(a - b) for a, b in zip(run.state.voltages, applied)]
+        assert 0.0 < max(moves) < 0.1
+    assert run.phase == phase_after and run.reason is None
 
 
 def test_first_coarse_step_actuates_even_above_threshold():
@@ -324,16 +335,24 @@ def test_first_coarse_step_actuates_even_above_threshold():
 
 
 def test_budget_exhaustion_reason_and_unreached_fields():
-    # A hostile link that always reads the target's antipode: no correction
-    # ever helps, so the coarse budget runs out.
+    # A link whose every reading falls is solved from each time and stays in
+    # the coarse phase until its budget runs out.
     target = cardinal_target("H")
-    config = LoopConfig(max_coarse_steps=4)
+    config = LoopConfig(max_coarse_steps=4, max_fine_steps=5)
     curves = synthetic_curve_set(4)
+    falling = iter(NormalizedStokes(u1, math.sqrt(1.0 - u1 * u1), 0.0)
+                   for u1 in (0.0, -0.2, -0.4, -0.6, -0.8))
+    run = run_compensation(lambda _v: next(falling), curves, target, config)
+    assert run.reason == "budget_exhausted"
+    assert run.total_steps() == run.coarse_used == 4
+    assert run.steps_to(0.97) is None and run.steps_to_995 is None
+    # A link that always reads the target's antipode ties with its first
+    # reading: the local step (which keeps the voltages there) spends the
+    # fine budget.
     antipode = NormalizedStokes(-target.u1, -target.u2, -target.u3)
     run = run_compensation(lambda _v: antipode, curves, target, config)
     assert run.reason == "budget_exhausted"
-    assert run.total_steps() == 4
-    assert run.coarse_used == 4
+    assert (run.coarse_used, run.fine_used) == (2, 5)
     assert run.steps_to(0.97) is None and run.steps_to_995 is None
     assert all(rec.fidelity == 0.0 for rec in run.steps)
 
@@ -449,6 +468,40 @@ def test_stale_calibration_never_exhausts_the_budget(curve_error, cells):
     stats = run_trials(600, noise=noise, base_seed=11, keep_runs=True,
                        curves=synthetic_curve_set(cells))
     assert [run.reason for run in stats.runs].count("budget_exhausted") == 0
+
+
+def _rule_voltages(run, k):
+    """The voltages the correction rule actuates after the run's k-th reading."""
+    rec, config = run.steps[k], run.config
+    if k == 0 or rec.fidelity < min(config.coarse_threshold, run.steps[k - 1].fidelity):
+        return _solve_from(rec, run.target, run.curves)
+    if rec.fidelity < config.fine_threshold:
+        return _fine_correction(rec, run.target, run.curves)
+    return rec.voltages
+
+
+@pytest.mark.parametrize("cells", [3, 4])
+@pytest.mark.parametrize("curve_error", [0.01, 0.1])
+def test_every_step_actuates_what_the_rule_computed(curve_error, cells):
+    # Whole transcripts: each reading was taken at exactly the voltages the
+    # rule computed from the reading before it, the run was coarse only
+    # while each reading was solved from below the coarse threshold, and
+    # the stack is left where the run ended.
+    noise = replace(NoiseModel.lab(), retardance_curve_error=curve_error)
+    stats = run_trials(300, noise=noise, base_seed=17, keep_runs=True,
+                       curves=synthetic_curve_set(cells))
+    for run in stats.runs:
+        assert run.steps[0].phase == "coarse"
+        coarse = True
+        for k, (rec, after) in enumerate(zip(run.steps, run.steps[1:])):
+            assert after.voltages == _rule_voltages(run, k)
+            fell = k == 0 or rec.fidelity < run.steps[k - 1].fidelity
+            coarse = coarse and fell and rec.fidelity < run.config.coarse_threshold
+            assert after.phase == ("coarse" if coarse else "fine")
+        if run.reason == "fine_threshold_met":
+            assert run.state.voltages == run.steps[-1].voltages
+        else:
+            assert run.state.voltages == _rule_voltages(run, len(run.steps) - 1)
 
 
 def test_runs_are_deterministic():
