@@ -118,7 +118,7 @@ def _config_from_args(args: argparse.Namespace) -> LoopConfig:
     return LoopConfig(**kwargs)
 
 
-def _add_loop_options(sub: argparse.ArgumentParser) -> None:
+def _add_loop_options(sub: argparse.ArgumentParser, seed_help: str) -> None:
     sub.add_argument("--coarse-threshold", type=float, default=None,
                      help="a reading that falls below it is solved from (default 0.97)")
     sub.add_argument("--fine-threshold", type=float, default=None,
@@ -127,7 +127,7 @@ def _add_loop_options(sub: argparse.ArgumentParser) -> None:
                      help="cap both the coarse and fine step budgets")
     sub.add_argument("--noise-preset", choices=tuple(_NOISE_PRESETS), default="none",
                      help="virtual bench imperfection budget (default: none)")
-    sub.add_argument("--seed", type=int, default=0, help="measurement seed")
+    sub.add_argument("--seed", type=int, default=0, help=seed_help)
 
 
 def cmd_characterize(args: argparse.Namespace, argv: list[str]) -> int:
@@ -192,7 +192,7 @@ def cmd_compensate(args: argparse.Namespace, argv: list[str]) -> int:
         noise=noise,
         seed=args.seed,
     )
-    run = run_compensation(apparatus, curves, target, config, seed=args.seed)
+    run = run_compensation(apparatus, curves, target, config)
 
     out = _resolve_out(args.output)
     write_run_log(out, run)
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disturbance-seed", type=int, default=0,
                    help="seed of the simulated fiber disturbance")
     p.add_argument("-o", "--output", required=True, help="run transcript (JSON lines)")
-    _add_loop_options(p)
+    _add_loop_options(p, "measurement seed")
     p.set_defaults(func=cmd_compensate)
 
     p = sub.add_parser("bench", help="aggregate many virtual compensation trials")
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="H", help="H/V/D/A/R/L or 'u1,u2,u3'")
     p.add_argument("--log-dir", default=None, help="also write one transcript per trial")
     p.add_argument("-o", "--output", required=True, help="statistics JSON to write")
-    _add_loop_options(p)
+    _add_loop_options(p, "base seed of the trials: seeds every trial's disturbance and noise")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("replay", help="re-execute a recorded invocation")

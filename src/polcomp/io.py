@@ -6,26 +6,32 @@ Conventions
   (``angle_deg``, ``drive_voltage_rms_v``, ``retardance_rad``, ...).
   Mechanical angles cross the file boundary in degrees; everything in
   memory is radians.
+* One writer, :func:`_write_table`, writes every CSV: the header, then
+  one row per sample with each value as the ``repr`` of its Python float
+  and a missing error bar (NaN) as an empty field, every line ending in
+  ``\n``.
 * Each CSV has a JSON sidecar at the same path with a ``.json`` suffix
   holding the scalars that belong to the whole file (background voltage,
-  polarimeter zero offset, curve metadata).
-* Missing error bars (NaN) are written as empty fields.
+  polarimeter zero offset, curve metadata).  Scan and sweep sidecars are
+  required; curve sidecars, and the scan metadata read on its own, are
+  optional.
 * All writes go to a temporary file in the target directory and are
   moved into place with ``os.replace``, so readers never observe a
-  half-written file.
-* Parse errors raise :class:`FileFormatError` naming the file and line.
+  half-written file; a failed write leaves no temporary file behind.
+* Errors raise :class:`FileFormatError`.  A CSV parse error names the
+  CSV and line, a bad sidecar value names the sidecar, and a value the
+  data class refuses names the CSV, each path once.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _stdio
 import json
 import math
 import numbers
 import os
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -67,8 +73,12 @@ def sidecar_path(path: str | os.PathLike) -> Path:
 def _atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json_doc(path: str | os.PathLike, doc: dict) -> None:
@@ -87,37 +97,32 @@ def read_json_doc(path: str | os.PathLike) -> dict:
     return doc
 
 
-def _format_float(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(float(x))
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_float(x) for x in row])
-    _atomic_write_text(path, buf.getvalue())
+def _write_table(path: Path, header: Sequence[str], columns: list, meta: dict) -> None:
+    """Write ``columns`` (float arrays, one per header name) as the CSV at
+    ``path``, then ``meta`` as its sidecar."""
+    texts = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    # "nan" is the only float repr with an "n", so this blanks exactly the NaN cells.
+    body = "".join(",".join(row) + "\n" for row in zip(*texts)).replace("nan", "")
+    _atomic_write_text(path, ",".join(header) + "\n" + body)
+    write_json_doc(sidecar_path(path), meta)
 
 
 def _read_csv(path: Path, header: Sequence[str], nan_ok: Sequence[bool]) -> np.ndarray:
-    """Parse a fixed-width numeric CSV into an (n_rows, n_cols) array."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    """Parse a fixed-width numeric CSV into an (n_rows, n_cols) array.
+
+    Blank lines are skipped; the first non-blank line must be the header.
+    """
+    reader = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    numbered = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+    if not numbered:
         raise FileFormatError(f"{path}:1: empty file")
-    reader = csv.reader(lines)
+    lineno, row = numbered[0]
+    if [c.strip() for c in row] != list(header):
+        raise FileFormatError(
+            f"{path}:{lineno}: expected header {','.join(header)!r}, got {','.join(row)!r}"
+        )
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if lineno == 1:
-            if [c.strip() for c in row] != list(header):
-                raise FileFormatError(
-                    f"{path}:1: expected header {','.join(header)!r}, got {','.join(row)!r}"
-                )
-            continue
+    for lineno, row in numbered[1:]:
         if len(row) != len(header):
             raise FileFormatError(
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
@@ -145,6 +150,27 @@ def _read_csv(path: Path, header: Sequence[str], nan_ok: Sequence[bool]) -> np.n
     return np.asarray(rows, dtype=float)
 
 
+def _read_sidecar(path: Path, required: bool) -> tuple[Path, dict]:
+    """The sidecar of ``path`` and its document; a missing sidecar is an
+    error if ``required``, else an empty document."""
+    side = sidecar_path(path)
+    try:
+        return side, read_json_doc(side)
+    except FileNotFoundError:
+        if required:
+            raise FileFormatError(f"{path}: missing sidecar {side.name}") from None
+        return side, {}
+
+
+def _build(path: Path, cls: type, **fields: Any) -> Any:
+    """``cls(**fields)``; a ``ValueError`` it raises becomes a
+    :class:`FileFormatError` naming the CSV at ``path``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def write_scan(
     path: str | os.PathLike,
     scan: PolarimeterScan,
@@ -156,15 +182,13 @@ def write_scan(
     in the sidecar for later fidelity accounting; one that
     :func:`read_scan_metadata` would refuse raises ``ValueError`` first.
     """
-    path = Path(path)
     meta: dict[str, Any] = {
         "background_voltage_v": float(scan.background_voltage),
         "offset_alpha_deg": float(math.degrees(scan.offset_alpha)),
     }
     if true_state is not None:
         meta["true_state"] = _checked_true_state(list(true_state))
-    _write_csv(path, SCAN_HEADER, zip(np.degrees(scan.angles), scan.voltages))
-    write_json_doc(sidecar_path(path), meta)
+    _write_table(Path(path), SCAN_HEADER, [np.degrees(scan.angles), scan.voltages], meta)
 
 
 def _json_float(value: Any) -> float | None:
@@ -204,32 +228,19 @@ def _sidecar_float(path: Path, meta: dict, key: str, default: float | None = Non
 def read_scan(path: str | os.PathLike) -> PolarimeterScan:
     path = Path(path)
     data = _read_csv(path, SCAN_HEADER, nan_ok=(False, False))
-    side = sidecar_path(path)
-    try:
-        meta = read_json_doc(side)
-    except FileNotFoundError:
-        raise FileFormatError(f"{path}: missing sidecar {side.name}") from None
-    background = _sidecar_float(side, meta, "background_voltage_v")
-    alpha = math.radians(_sidecar_float(side, meta, "offset_alpha_deg"))
-    try:
-        return PolarimeterScan(
-            angles=np.radians(data[:, 0]),
-            voltages=data[:, 1],
-            background_voltage=background,
-            offset_alpha=alpha,
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    side, meta = _read_sidecar(path, required=True)
+    return _build(
+        path, PolarimeterScan,
+        angles=np.radians(data[:, 0]), voltages=data[:, 1],
+        background_voltage=_sidecar_float(side, meta, "background_voltage_v"),
+        offset_alpha=math.radians(_sidecar_float(side, meta, "offset_alpha_deg")),
+    )
 
 
 def read_scan_metadata(path: str | os.PathLike) -> dict:
     """Sidecar of a scan file, as a plain dict (empty if absent); a
     ``true_state`` must be a unit three-vector and comes back as floats."""
-    side = sidecar_path(path)
-    try:
-        meta = read_json_doc(side)
-    except FileNotFoundError:
-        return {}
+    side, meta = _read_sidecar(Path(path), required=False)
     if "true_state" in meta:
         try:
             meta["true_state"] = _checked_true_state(meta["true_state"])
@@ -239,59 +250,40 @@ def read_scan_metadata(path: str | os.PathLike) -> dict:
 
 
 def write_sweep(path: str | os.PathLike, sweep: CharacterizationSweep) -> None:
-    path = Path(path)
-    rows = zip(sweep.drive_voltages, sweep.mean_pd_voltages, sweep.pd_voltage_sems)
-    _write_csv(path, SWEEP_HEADER, rows)
-    write_json_doc(
-        sidecar_path(path),
-        {
-            "background_voltage_v": float(sweep.background_voltage),
-            "background_sem_v": float(sweep.background_sem),
-        },
-    )
+    columns = [sweep.drive_voltages, sweep.mean_pd_voltages, sweep.pd_voltage_sems]
+    meta = {
+        "background_voltage_v": float(sweep.background_voltage),
+        "background_sem_v": float(sweep.background_sem),
+    }
+    _write_table(Path(path), SWEEP_HEADER, columns, meta)
 
 
 def read_sweep(path: str | os.PathLike) -> CharacterizationSweep:
     path = Path(path)
     data = _read_csv(path, SWEEP_HEADER, nan_ok=(False, False, False))
-    side = sidecar_path(path)
-    try:
-        meta = read_json_doc(side)
-    except FileNotFoundError:
-        raise FileFormatError(f"{path}: missing sidecar {side.name}") from None
-    try:
-        return CharacterizationSweep(
-            drive_voltages=data[:, 0],
-            mean_pd_voltages=data[:, 1],
-            pd_voltage_sems=data[:, 2],
-            background_voltage=_sidecar_float(side, meta, "background_voltage_v"),
-            background_sem=_sidecar_float(side, meta, "background_sem_v", 0.0),
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    side, meta = _read_sidecar(path, required=True)
+    return _build(
+        path, CharacterizationSweep,
+        drive_voltages=data[:, 0], mean_pd_voltages=data[:, 1], pd_voltage_sems=data[:, 2],
+        background_voltage=_sidecar_float(side, meta, "background_voltage_v"),
+        background_sem=_sidecar_float(side, meta, "background_sem_v", 0.0),
+    )
 
 
 def write_curve(path: str | os.PathLike, curve: RetardanceCurve) -> None:
-    path = Path(path)
-    rows = zip(curve.drive_voltages, curve.retardances, curve.retardance_errors)
-    _write_csv(path, CURVE_HEADER, rows)
-    meta: dict[str, Any] = {
+    columns = [curve.drive_voltages, curve.retardances, curve.retardance_errors]
+    meta = {
         "voltage_step_v": float(curve.voltage_step),
         "wavelength_nm": None if curve.wavelength_nm is None else float(curve.wavelength_nm),
         "fold_count": None if curve.fold_count is None else int(curve.fold_count),
     }
-    write_json_doc(sidecar_path(path), meta)
+    _write_table(Path(path), CURVE_HEADER, columns, meta)
 
 
 def read_curve(path: str | os.PathLike) -> RetardanceCurve:
     path = Path(path)
     data = _read_csv(path, CURVE_HEADER, nan_ok=(False, False, True))
-    side = sidecar_path(path)
-    meta: dict[str, Any] = {}
-    try:
-        meta = read_json_doc(side)
-    except FileNotFoundError:
-        pass  # metadata is optional for curves
+    side, meta = _read_sidecar(path, required=False)
     # null marks an unknown wavelength or fold count, as write_curve writes.
     wavelength = meta.get("wavelength_nm")
     if wavelength is not None:
@@ -301,17 +293,12 @@ def read_curve(path: str | os.PathLike) -> RetardanceCurve:
     fold_count = meta.get("fold_count")
     if fold_count is not None and not (type(fold_count) is int and fold_count >= 0):
         raise FileFormatError(f"{side}: sidecar 'fold_count' must be a non-negative integer")
-    try:
-        return RetardanceCurve(
-            drive_voltages=data[:, 0],
-            retardances=data[:, 1],
-            retardance_errors=data[:, 2],
-            voltage_step=_sidecar_float(side, meta, "voltage_step_v", 0.0),
-            wavelength_nm=wavelength,
-            fold_count=fold_count,
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    return _build(
+        path, RetardanceCurve,
+        drive_voltages=data[:, 0], retardances=data[:, 1], retardance_errors=data[:, 2],
+        voltage_step=_sidecar_float(side, meta, "voltage_step_v", 0.0),
+        wavelength_nm=wavelength, fold_count=fold_count,
+    )
 
 
 def _step_record_json(rec) -> dict:

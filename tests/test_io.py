@@ -1,6 +1,7 @@
 """File formats: round-trips, sidecars, NaN handling, and the parse
 diagnostics that name file and line."""
 
+import hashlib
 import json
 import math
 
@@ -24,8 +25,8 @@ from polcomp.io import (
     write_scan,
     write_sweep,
 )
-from polcomp.lcvr import RetardanceCurve, build_curve
-from polcomp.polarimetry import simulate_scan
+from polcomp.lcvr import CharacterizationSweep, RetardanceCurve, build_curve
+from polcomp.polarimetry import PolarimeterScan, simulate_scan
 from polcomp.stokes import CARDINAL_STOKES, cardinal_target
 
 
@@ -76,6 +77,70 @@ def test_curve_metadata_is_optional(tmp_path, clean_sweep):
     back = read_curve(p)
     assert back.wavelength_nm is None
     assert back.fold_count is None
+
+
+# Values whose text is easy to get wrong: signed zero, the smallest
+# subnormal, a power of ten that repr writes in exponent form, inexact
+# decimals and an integral float.
+_SPECIAL = [-0.0, 5e-324, 1e16, 0.1, 1 / 3, 2.0]
+
+_GOLDEN = {
+    "curve": (
+        lambda p: write_curve(p, RetardanceCurve(
+            drive_voltages=[-0.0, 5e-324, 0.1, 1 / 3, 2.0, 1e16],
+            retardances=[1e16, 2.0, 1 / 3, 0.1, 5e-324, -0.0],
+            retardance_errors=[math.nan, 0.1, -0.0, 5e-324, 1e16, 1 / 3],
+            voltage_step=0.5, wavelength_nm=780.0, fold_count=2)),
+        "drive_voltage_rms_v,retardance_rad,retardance_error_rad\n"
+        "-0.0,1e+16,\n5e-324,2.0,0.1\n0.1,0.3333333333333333,-0.0\n"
+        "0.3333333333333333,0.1,5e-324\n2.0,5e-324,1e+16\n"
+        "1e+16,-0.0,0.3333333333333333\n",
+        '{\n  "fold_count": 2,\n  "voltage_step_v": 0.5,\n  "wavelength_nm": 780.0\n}\n',
+    ),
+    "sweep": (
+        lambda p: write_sweep(p, CharacterizationSweep(
+            drive_voltages=[-0.0, 5e-324, 0.1, 1 / 3, 2.0, 3.0, 4.5, 7.0, 12.0, 1e16],
+            mean_pd_voltages=[1 / 3, 0.1, -0.0, 5e-324, 1e16, 2.0, 0.25, 1.0, 3.0, 0.5],
+            pd_voltage_sems=[0.1, -0.0, 5e-324, 1 / 3, 1e16, 0.0, 0.001, 2.0, 0.02, 0.003],
+            background_voltage=0.1, background_sem=1 / 3)),
+        "drive_voltage_rms_v,mean_pd_voltage_v,pd_voltage_sem_v\n"
+        "-0.0,0.3333333333333333,0.1\n5e-324,0.1,-0.0\n0.1,-0.0,5e-324\n"
+        "0.3333333333333333,5e-324,0.3333333333333333\n2.0,1e+16,1e+16\n"
+        "3.0,2.0,0.0\n4.5,0.25,0.001\n7.0,1.0,2.0\n12.0,3.0,0.02\n1e+16,0.5,0.003\n",
+        '{\n  "background_sem_v": 0.3333333333333333,\n  "background_voltage_v": 0.1\n}\n',
+    ),
+    "scan": (
+        lambda p: write_scan(p, PolarimeterScan(
+            angles=np.arange(16) * (math.pi / 8),
+            voltages=_SPECIAL * 2 + [1.0, 0.5, 0.25, 0.125],
+            background_voltage=-0.0, offset_alpha=0.1), true_state=[0.0, 1.0, 0.0]),
+        "angle_deg,voltage_v\n0.0,-0.0\n22.5,5e-324\n45.0,1e+16\n67.5,0.1\n"
+        "90.0,0.3333333333333333\n112.5,2.0\n135.0,-0.0\n157.5,5e-324\n"
+        "180.0,1e+16\n202.5,0.1\n225.0,0.3333333333333333\n247.49999999999997,2.0\n"
+        "270.0,1.0\n292.5,0.5\n315.0,0.25\n337.5,0.125\n",
+        '{\n  "background_voltage_v": -0.0,\n  "offset_alpha_deg": 5.729577951308233,\n'
+        '  "true_state": [\n    0.0,\n    1.0,\n    0.0\n  ]\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GOLDEN))
+def test_written_bytes_are_pinned(tmp_path, kind):
+    write, csv_text, sidecar_text = _GOLDEN[kind]
+    p = tmp_path / f"{kind}.csv"
+    write(p)
+    assert p.read_bytes() == csv_text.encode()
+    assert sidecar_path(p).read_bytes() == sidecar_text.encode()
+
+
+def test_synthetic_curve_bytes_are_pinned(tmp_path):
+    p = tmp_path / "curve.csv"
+    write_curve(p, synthetic_curve_set(1)[0])
+    data = p.read_bytes()
+    assert len(data) == 66073
+    assert hashlib.sha256(data).hexdigest() == (
+        "bebea0a2e4d7bbd729b383f07ad7aeccbe6b636f0243a84109672ffa31d38b5d"
+    )
 
 
 def _edit_sidecar(path, **changes):
@@ -154,6 +219,18 @@ def test_bad_number_names_its_line(tmp_path):
         read_sweep(p)
 
 
+def test_header_is_the_first_non_blank_line(tmp_path):
+    scan = simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310)
+    p = tmp_path / "scan.csv"
+    write_scan(p, scan)
+    text = p.read_text()
+    p.write_text("\n" + text)
+    np.testing.assert_array_equal(read_scan(p).voltages, scan.voltages)
+    p.write_text("\n" + text.split("\n", 1)[1])  # header dropped
+    with pytest.raises(FileFormatError, match=r"scan\.csv:2: expected header"):
+        read_scan(p)
+
+
 def test_wrong_field_count_names_its_line(tmp_path):
     p = tmp_path / "scan.csv"
     p.write_text("angle_deg,voltage_v\n0.0,1.0\n1.0\n")
@@ -204,6 +281,20 @@ def test_atomic_write_replaces_existing(tmp_path):
     write_json_doc(p, {"a": 1})
     write_json_doc(p, {"a": 2})
     assert json.loads(p.read_text()) == {"a": 2}
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    p = tmp_path / "doc.json"
+    write_json_doc(p, {"a": 1})
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("polcomp.io.os.replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        write_json_doc(p, {"a": 2})
+    assert json.loads(p.read_text()) == {"a": 1}
     assert list(tmp_path.glob("*.tmp")) == []
 
 
@@ -369,3 +460,43 @@ def test_run_log_lines_must_be_objects(tmp_path, line, where):
     p.write_text('{"step": 1, "phase": "coarse"}\n' + line + "\n")
     with pytest.raises(FileFormatError, match=f"run.jsonl{where}"):
         read_run_log(p)
+
+
+
+@pytest.mark.parametrize("kind, change, reason", [
+    ("scan", {"background_voltage_v": "0.05"}, "'background_voltage_v' is not a number"),
+    ("scan", {"background_voltage_v": ...}, "missing 'background_voltage_v'"),
+    ("scan", {"offset_alpha_deg": True}, "'offset_alpha_deg' is not a number"),
+    ("scan", {"offset_alpha_deg": ...}, "missing 'offset_alpha_deg'"),
+    ("scan", "[1]", "expected a JSON object"),
+    ("sweep", {"background_voltage_v": None}, "'background_voltage_v' is not a number"),
+    ("sweep", {"background_voltage_v": ...}, "missing 'background_voltage_v'"),
+    ("sweep", {"background_sem_v": [0.001]}, "'background_sem_v' is not a number"),
+    ("sweep", "{broken", "invalid JSON"),
+    ("curve", {"voltage_step_v": "fast"}, "'voltage_step_v' is not a number"),
+    ("curve", {"wavelength_nm": "780"}, "'wavelength_nm' is not a number"),
+    ("curve", {"wavelength_nm": -780.0}, r"'wavelength_nm' must be in \(0, inf\)"),
+    ("curve", {"fold_count": 2.7}, "'fold_count' must be a non-negative integer"),
+    ("curve", "[1]", "expected a JSON object"),
+])
+def test_sidecar_error_names_the_sidecar_once(tmp_path, noisy_sweep, kind, change, reason):
+    p = tmp_path / f"{kind}.csv"
+    if kind == "scan":
+        write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310))
+    elif kind == "sweep":
+        write_sweep(p, noisy_sweep)
+    else:
+        write_curve(p, synthetic_curve_set(1)[0])
+    side = sidecar_path(p)
+    if isinstance(change, str):
+        side.write_text(change)
+    else:
+        meta = json.loads(side.read_text())
+        meta.update(change)
+        side.write_text(json.dumps({k: v for k, v in meta.items() if v is not ...}))
+    read = {"scan": read_scan, "sweep": read_sweep, "curve": read_curve}[kind]
+    with pytest.raises(FileFormatError, match=reason) as exc:
+        read(p)
+    message = str(exc.value)
+    assert message.startswith(f"{side}:")
+    assert str(p) not in message
