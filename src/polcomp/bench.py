@@ -36,6 +36,7 @@ from .stokes import (
     CARDINAL_STOKES,
     NormalizedStokes,
     StokesVector,
+    _embed,
     _lcvr_rows,
     _retarder_block,
     _rotate,
@@ -90,16 +91,10 @@ class NoiseModel:
     retardance_curve_error: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "pd_sigma",
-            "background_v",
-            "angle_jitter_sigma",
-            "voltage_quantum_v",
-            "retardance_curve_error",
-        ):
-            val = getattr(self, name)
+        for f in fields(self):
+            val = getattr(self, f.name)
             if not (math.isfinite(val) and val >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {val!r}")
+                raise ValueError(f"{f.name} must be finite and non-negative, got {val!r}")
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -158,15 +153,12 @@ def random_disturbance(seed: int) -> FiberDisturbance:
     y = a * math.cos(2.0 * math.pi * u2)
     z = b * math.sin(2.0 * math.pi * u3)
     w = b * math.cos(2.0 * math.pi * u3)
-    m = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-            [0.0, 2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-            [0.0, 2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-        ]
+    rows = (
+        (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
+        (2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)),
+        (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
     )
-    return FiberDisturbance(mueller=m, seed=int(seed))
+    return FiberDisturbance(mueller=_embed(rows), seed=int(seed))
 
 
 def _curve_shape(v: np.ndarray, v0: float, power: float) -> np.ndarray:

@@ -6,20 +6,22 @@ scans, ``compensate`` runs one closed-loop session against the virtual
 bench, ``bench`` aggregates many trials, and ``replay`` re-executes a
 recorded invocation from its manifest.
 
-Every command that writes a primary output also writes
-``<output>.manifest.json`` recording the exact argument vector, so any
-result file can be regenerated bit-for-bit (all randomness is seeded).
-Relative output paths are placed under ``$POLCOMP_OUT_DIR`` when that
-variable is set.
+Each ``cmd_*`` writes its outputs and returns ``(exit code, outputs)``;
+:func:`main` alone then writes ``<first output>.manifest.json`` with the
+exact argument vector, so any result file can be regenerated bit-for-bit
+(all randomness is seeded).  ``tomography`` without ``-o`` gets none.
+Relative output paths go under ``$POLCOMP_OUT_DIR`` when it is set, a
+replay's included.
 
-Exit codes: 0 success, 1 bad input data, 2 usage errors (argparse),
-3 compensation budget exhausted before reaching the fine threshold.
+Exit codes: 0 success, 1 bad input data or a file-system error (such as
+an output path that names a directory), 2 usage errors (argparse), 3
+compensation budget exhausted before reaching the fine threshold.  Only
+:func:`main` turns an error into exit 1, and it writes no manifest then.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -37,10 +39,10 @@ from .compensation import LoopConfig, run_compensation
 from .io import (
     FileFormatError,
     read_curve,
+    read_json_doc,
     read_scan,
     read_scan_metadata,
     read_sweep,
-    sidecar_path,
     write_curve,
     write_json_doc,
     write_run_log,
@@ -67,22 +69,6 @@ def _resolve_out(path_str: str) -> Path:
         return p
     base = os.environ.get(_ENV_OUT_DIR)
     return Path(base) / p if base else p
-
-
-def _manifest_path(out: Path) -> Path:
-    return out.with_name(out.name + ".manifest.json")
-
-
-def _write_manifest(out: Path, command: str, argv: list[str], outputs: list[str]) -> None:
-    write_json_doc(
-        _manifest_path(out),
-        {
-            "command": command,
-            "argv": list(argv),
-            "outputs": list(outputs),
-            "version": __version__,
-        },
-    )
 
 
 def parse_target(text: str) -> NormalizedStokes:
@@ -130,22 +116,21 @@ def _add_loop_options(sub: argparse.ArgumentParser, seed_help: str) -> None:
     sub.add_argument("--seed", type=int, default=0, help=seed_help)
 
 
-def cmd_characterize(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_characterize(args: argparse.Namespace) -> tuple[int, list[str]]:
     sweep = read_sweep(args.sweep)
     curve = build_curve(sweep, wavelength_nm=args.wavelength_nm)
     out = _resolve_out(args.output)
     write_curve(out, curve)
-    _write_manifest(out, "characterize", argv, [args.output])
     lo = float(curve.retardances.min())
     hi = float(curve.retardances.max())
     print(
         f"curve: {len(curve)} points, {curve.fold_count} folds, "
         f"retardance {lo:.4f}..{hi:.4f} rad -> {out}"
     )
-    return EXIT_OK
+    return EXIT_OK, [args.output]
 
 
-def cmd_tomography(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_tomography(args: argparse.Namespace) -> tuple[int, list[str]]:
     root = Path(args.path)
     if root.is_dir():
         files = sorted(root.glob("*.csv"))
@@ -174,14 +159,13 @@ def cmd_tomography(args: argparse.Namespace, argv: list[str]) -> int:
     if fidelities:
         report["mean_fidelity"] = float(np.mean(fidelities))
         print(f"mean fidelity over {len(fidelities)} scans: {report['mean_fidelity']:.6f}")
-    if args.output:
-        out = _resolve_out(args.output)
-        write_json_doc(out, report)
-        _write_manifest(out, "tomography", argv, [args.output])
-    return EXIT_OK
+    if not args.output:
+        return EXIT_OK, []
+    write_json_doc(_resolve_out(args.output), report)
+    return EXIT_OK, [args.output]
 
 
-def cmd_compensate(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_compensate(args: argparse.Namespace) -> tuple[int, list[str]]:
     curves = [read_curve(p) for p in args.curve]
     target = parse_target(args.target)
     noise = _NOISE_PRESETS[args.noise_preset]()
@@ -196,16 +180,15 @@ def cmd_compensate(args: argparse.Namespace, argv: list[str]) -> int:
 
     out = _resolve_out(args.output)
     write_run_log(out, run)
-    _write_manifest(out, "compensate", argv, [args.output])
     last = run.steps[-1]
     print(
         f"{run.reason}: {run.total_steps()} steps, final fidelity {last.fidelity:.6f}, "
         f"steps to 0.995: {run.steps_to_995} -> {out}"
     )
-    return EXIT_BUDGET if run.reason == "budget_exhausted" else EXIT_OK
+    return (EXIT_BUDGET if run.reason == "budget_exhausted" else EXIT_OK), [args.output]
 
 
-def cmd_bench(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_bench(args: argparse.Namespace) -> tuple[int, list[str]]:
     target = parse_target(args.target)
     noise = _NOISE_PRESETS[args.noise_preset]()
     config = _config_from_args(args)
@@ -229,18 +212,15 @@ def cmd_bench(args: argparse.Namespace, argv: list[str]) -> int:
             name = f"trial_{i:04d}.jsonl"
             write_run_log(log_dir / name, run)
             outputs.append(str(Path(args.log_dir) / name))
-    _write_manifest(out, "bench", argv, outputs)
     print(
         f"{stats.trials} trials: mean steps to 0.97/0.99/0.995 = "
         f"{stats.mean_steps_to_97}/{stats.mean_steps_to_99}/{stats.mean_steps_to_995}, "
         f"unreached 0.995: {stats.unreached_995} -> {out}"
     )
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
-def cmd_replay(args: argparse.Namespace, argv: list[str]) -> int:
-    from .io import read_json_doc
-
+def cmd_replay(args: argparse.Namespace) -> tuple[int, list[str]]:
     doc = read_json_doc(args.manifest)
     for key in ("command", "argv"):
         if key not in doc:
@@ -254,17 +234,8 @@ def cmd_replay(args: argparse.Namespace, argv: list[str]) -> int:
     if recorded[0] == "replay":
         raise ValueError("refusing to replay a replay")
     print(f"replaying: polcomp {' '.join(recorded)}")
-    if args.out_dir is not None:
-        previous = os.environ.get(_ENV_OUT_DIR)
-        os.environ[_ENV_OUT_DIR] = str(args.out_dir)
-        try:
-            return main(recorded)
-        finally:
-            if previous is None:
-                os.environ.pop(_ENV_OUT_DIR, None)
-            else:
-                os.environ[_ENV_OUT_DIR] = previous
-    return main(recorded)
+    # The replayed command's own main writes its outputs' manifest.
+    return main(recorded), []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-execute a recorded invocation")
     p.add_argument("manifest", help="a *.manifest.json written by another command")
-    p.add_argument("--out-dir", default=None,
-                   help="redirect relative outputs of the replayed command")
     p.set_defaults(func=cmd_replay)
 
     return parser
@@ -320,12 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, list(argv))
+        code, outputs = args.func(args)
+        if outputs:
+            manifest = {"command": args.command, "argv": list(argv),
+                        "outputs": outputs, "version": __version__}
+            first = _resolve_out(outputs[0])
+            write_json_doc(first.with_name(first.name + ".manifest.json"), manifest)
+        return code
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
+    except OSError as exc:
+        # An output path that names a directory, an unwritable place, ...
+        where = exc.filename2 or exc.filename
+        print(f"error: {where}: {exc.strerror}" if where else f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     except ValueError as exc:
         # Covers FileFormatError, CalibrationError, UnwrapAmbiguityError

@@ -38,7 +38,7 @@ import numpy as np
 from .compensation import CompensationRun
 from .lcvr import CharacterizationSweep, RetardanceCurve
 from .polarimetry import PolarimeterScan
-from .stokes import UNIT_NORM_TOL
+from .stokes import NormalizedStokes
 
 __all__ = [
     "FileFormatError",
@@ -204,12 +204,14 @@ def _json_float(value: Any) -> float | None:
 
 def _checked_true_state(state: Any) -> list[float]:
     """``state`` as three floats; it must be a list of three finite
-    numbers whose norm is 1 within ``UNIT_NORM_TOL``."""
+    numbers that :class:`NormalizedStokes` accepts as a unit vector."""
     values = [_json_float(x) for x in state] if isinstance(state, list) else []
     if not (len(values) == 3 and all(x is not None and math.isfinite(x) for x in values)):
         raise ValueError("'true_state' must be three finite numbers")
-    if abs(math.sqrt(sum(x * x for x in values)) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("'true_state' is not unit-norm")
+    try:
+        NormalizedStokes(*values)
+    except ValueError as exc:
+        raise ValueError(f"'true_state' is {exc}") from None
     return values
 
 
@@ -302,22 +304,13 @@ def read_curve(path: str | os.PathLike) -> RetardanceCurve:
 
 
 def _step_record_json(rec) -> dict:
-    d = list(rec.retardances) + [None] * (4 - len(rec.retardances))
-    v = list(rec.voltages) + [None] * (4 - len(rec.voltages))
-    return {
-        "step": rec.step,
-        "phase": rec.phase,
-        "d1_rad": d[0],
-        "d2_rad": d[1],
-        "d3_rad": d[2],
-        "d4_rad": d[3],
-        "v1_v": v[0],
-        "v2_v": v[1],
-        "v3_v": v[2],
-        "v4_v": v[3],
-        "fidelity": rec.fidelity,
-        "stokes": list(rec.stokes),
-    }
+    """One transcript line; a three-cell run writes ``None`` for cell 4."""
+    doc = {"step": rec.step, "phase": rec.phase, "fidelity": rec.fidelity,
+           "stokes": list(rec.stokes)}
+    for k in range(4):
+        doc[f"d{k + 1}_rad"] = rec.retardances[k] if k < len(rec.retardances) else None
+        doc[f"v{k + 1}_v"] = rec.voltages[k] if k < len(rec.voltages) else None
+    return doc
 
 
 def write_run_log(path: str | os.PathLike, run: CompensationRun) -> None:

@@ -211,8 +211,36 @@ def test_replay_with_out_dir(tmp_path, monkeypatch):
     assert main(["bench", "--trials", "2", "--seed", "9", "-o", "stats.json"]) == 0
     first = (tmp_path / "stats.json").read_bytes()
     other = tmp_path / "elsewhere"
-    assert main(["replay", "stats.json.manifest.json", "--out-dir", str(other)]) == 0
+    monkeypatch.setenv("POLCOMP_OUT_DIR", str(other))
+    assert main(["replay", str(tmp_path / "stats.json.manifest.json")]) == 0
     assert (other / "stats.json").read_bytes() == first
+    assert ((other / "stats.json.manifest.json").read_bytes()
+            == (tmp_path / "stats.json.manifest.json").read_bytes())
+
+
+def test_replay_has_no_out_dir_option(tmp_path):
+    # POLCOMP_OUT_DIR is the one way to place a replay's outputs.
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", str(tmp_path / "m.json"), "--out-dir", str(tmp_path / "d")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["compensate", "bench"])
+def test_output_path_naming_a_directory_is_a_data_error(curve_files, tmp_path, capsys,
+                                                        command):
+    out = tmp_path / "outdir"
+    out.mkdir()
+    argv = [command, "--target", "H", "-o", str(out)]
+    if command == "bench":
+        argv += ["--trials", "1"]
+    for p in curve_files:
+        argv += ["--curve", str(p)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert list(out.iterdir()) == []
+    assert not (tmp_path / "outdir.manifest.json").exists()
+    assert list(tmp_path.glob("**/*.tmp")) == []  # pathlib's * matches dotfiles
 
 
 def test_replay_refuses_replay_manifests(tmp_path, capsys):

@@ -31,6 +31,7 @@ from polcomp.compensation import (
     solve_retardances,
 )
 from polcomp.lcvr import (
+    RetardanceCurve,
     curve_slope_at,
     retardance_for_voltage,
     voltage_for_retardance,
@@ -418,6 +419,18 @@ def test_fine_correction_holds_on_the_target_and_its_antipode(name):
     run = CompensationRun.begin(curves, cardinal_target("H"), LoopConfig())
     rec = run.record("fine", cardinal_target(name), 1.0 if name == "H" else 0.0)
     assert _fine_correction(rec, run.target, curves) == rec.voltages
+
+
+def test_fine_correction_holds_where_no_cell_turns_the_reading():
+    # Flat curves have slope 0 at every voltage: no move turns the reading.
+    curves = synthetic_curve_set(4)
+    run = CompensationRun.begin(curves, cardinal_target("H"), LoopConfig())
+    rec = run.record("fine", cardinal_target("D"), 0.5)
+    flat = [RetardanceCurve(c.drive_voltages, np.full(len(c), 1.0), c.retardance_errors)
+            for c in curves]
+    assert [curve_slope_at(c, v) for c, v in zip(flat, rec.voltages)] == [0.0] * 4
+    assert _fine_correction(rec, run.target, flat) == rec.voltages
+    assert _fine_correction(rec, run.target, curves) != rec.voltages
 
 
 # --- whole runs -----------------------------------------------------------------------

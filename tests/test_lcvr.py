@@ -209,6 +209,25 @@ def test_build_curve_noisy_stays_close_outside_folds(noisy_sweep):
     assert float(err[away_from_folds].max()) <= 0.05
 
 
+@pytest.mark.parametrize("top, bottom", [(1.5, 0.1), (1.8, 0.2)])
+def test_build_curve_flips_a_curve_that_unwraps_rising(drive_grid, top, bottom):
+    # A top between pi and 2 pi puts the first sample on the reflected
+    # branch, so the unwrap rises with voltage and build_curve flips it.
+    v = np.asarray(drive_grid)
+    shape = 1.0 / (1.0 + (v / 2.0) ** 2.2)
+    true = math.pi * (bottom + (top - bottom) * (shape - shape[-1]) / (shape[0] - shape[-1]))
+    raw = np.arccos(np.cos(true))
+    assert _unwrap_with_folds(raw)[0][-1] > raw[0]
+    sweep = CharacterizationSweep(
+        drive_voltages=v, mean_pd_voltages=(1.0 - np.cos(true)) / 2.0,
+        pd_voltage_sems=np.zeros(v.size), background_voltage=0.0,
+    )
+    curve = build_curve(sweep)
+    assert curve.fold_count == 1
+    outside = (raw > 0.25) & (raw < math.pi - 0.25)
+    assert float(np.max(np.abs(curve.retardances - true)[outside])) <= 1e-4
+
+
 def test_build_curve_error_bars(clean_sweep, noisy_sweep):
     # Noiseless sweep: no finite error bars are claimed at the peak.
     curve = build_curve(clean_sweep)
