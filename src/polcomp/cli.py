@@ -22,6 +22,8 @@ compensation budget exhausted before reaching the fine threshold.  Only
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,10 +40,10 @@ from .bench import (
 from .compensation import LoopConfig, run_compensation
 from .io import (
     FileFormatError,
+    _scan_and_sidecar,
+    _scan_metadata,
     read_curve,
     read_json_doc,
-    read_scan,
-    read_scan_metadata,
     read_sweep,
     write_curve,
     write_json_doc,
@@ -85,7 +87,13 @@ def parse_target(text: str) -> NormalizedStokes:
         vec = np.array([float(p) for p in parts])
     except ValueError:
         raise ValueError(f"target components must be numbers, got {text!r}") from None
-    norm = float(np.linalg.norm(vec))
+    if not np.isfinite(vec).all():
+        raise ValueError(f"target components must be finite, got {text!r}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if norm == math.inf:  # the squares overflow: scale the largest component to 1
+        vec = vec / np.abs(vec).max()
+        norm = float(np.linalg.norm(vec))
     if norm < 1e-9:
         raise ValueError("target vector must be non-zero")
     vec = vec / norm
@@ -142,10 +150,11 @@ def cmd_tomography(args: argparse.Namespace) -> tuple[int, list[str]]:
     entries = []
     fidelities = []
     for f in files:
-        scan = read_scan(f)
+        # read_scan then read_scan_metadata, with one parse of the sidecar.
+        scan, side, meta = _scan_and_sidecar(f)
         u = measure_stokes(scan)
         entry: dict = {"file": f.name, "stokes": [u.u1, u.u2, u.u3]}
-        meta = read_scan_metadata(f)
+        meta = _scan_metadata(side, meta)
         line = f"{f.name}: u = ({u.u1:+.6f}, {u.u2:+.6f}, {u.u3:+.6f})"
         if "true_state" in meta:
             fid = fidelity(u, NormalizedStokes(*meta["true_state"]))
@@ -286,10 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser for every :func:`main` call in a process; parsing
+    leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, outputs = args.func(args)
         if outputs:

@@ -30,6 +30,7 @@ import json
 import math
 import numbers
 import os
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -71,10 +72,17 @@ def sidecar_path(path: str | os.PathLike) -> Path:
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        f = open(tmp, "wb")
+    except (FileNotFoundError, NotADirectoryError):
+        # The directory is missing (or a file is in its way): make it, so
+        # mkdir raises what it cannot make, then open again.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -100,19 +108,53 @@ def read_json_doc(path: str | os.PathLike) -> dict:
 def _write_table(path: Path, header: Sequence[str], columns: list, meta: dict) -> None:
     """Write ``columns`` (float arrays, one per header name) as the CSV at
     ``path``, then ``meta`` as its sidecar."""
-    texts = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    # A list's repr is its floats' reprs joined by ", ", built in one call.
+    texts = [repr(np.asarray(col, dtype=float).tolist())[1:-1].split(", ") for col in columns]
     # "nan" is the only float repr with an "n", so this blanks exactly the NaN cells.
-    body = "".join(",".join(row) + "\n" for row in zip(*texts)).replace("nan", "")
-    _atomic_write_text(path, ",".join(header) + "\n" + body)
+    body = "\n".join(map(",".join, zip(*texts))).replace("nan", "")
+    _atomic_write_text(path, ",".join(header) + "\n" + body + "\n")
     write_json_doc(sidecar_path(path), meta)
+
+
+def _convert_in_bulk(
+    lines: list[str], header: Sequence[str], nan_ok: Sequence[bool]
+) -> np.ndarray | None:
+    """The body of ``lines`` as an (n_rows, n_cols) array, converted in
+    one pass, or ``None`` when any line is not of the plain form the
+    writer writes: the exact header, then rows of ``len(header)`` cells
+    that ``float`` reads (or empty where ``nan_ok``), with no quoting."""
+    lines = list(filter(None, lines))
+    ncol = len(header)
+    if len(lines) < 2 or lines[0] != ",".join(header):
+        return None
+    body = lines[1:]
+    if set(map(str.count, body, repeat(","))) != {ncol - 1}:
+        return None
+    if max(map(len, body)) > csv.field_size_limit():  # csv refuses such a cell
+        return None
+    cells = ",".join(body).split(",")
+    for col, allow_nan in enumerate(nan_ok):
+        if allow_nan and "" in cells[col::ncol]:
+            cells[col::ncol] = ["nan" if cell == "" else cell for cell in cells[col::ncol]]
+    try:
+        values = list(map(float, cells))
+    except ValueError:  # a bad, empty, blank or quoted cell
+        return None
+    return np.array(values).reshape(len(body), ncol)
 
 
 def _read_csv(path: Path, header: Sequence[str], nan_ok: Sequence[bool]) -> np.ndarray:
     """Parse a fixed-width numeric CSV into an (n_rows, n_cols) array.
 
     Blank lines are skipped; the first non-blank line must be the header.
+    A file in the writer's form converts in one pass; any other goes
+    through the row loop below, which alone names the first bad line.
     """
-    reader = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    data = _convert_in_bulk(lines, header, nan_ok)
+    if data is not None:
+        return data
+    reader = csv.reader(lines)
     numbered = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
     if not numbered:
         raise FileFormatError(f"{path}:1: empty file")
@@ -227,22 +269,34 @@ def _sidecar_float(path: Path, meta: dict, key: str, default: float | None = Non
     return value
 
 
-def read_scan(path: str | os.PathLike) -> PolarimeterScan:
-    path = Path(path)
+def _scan_and_sidecar(path: Path) -> tuple[PolarimeterScan, Path, dict]:
+    """The scan at ``path``, its sidecar's path and the sidecar document,
+    which :func:`_scan_metadata` turns into what
+    :func:`read_scan_metadata` returns without parsing it again."""
     data = _read_csv(path, SCAN_HEADER, nan_ok=(False, False))
     side, meta = _read_sidecar(path, required=True)
-    return _build(
+    scan = _build(
         path, PolarimeterScan,
         angles=np.radians(data[:, 0]), voltages=data[:, 1],
         background_voltage=_sidecar_float(side, meta, "background_voltage_v"),
         offset_alpha=math.radians(_sidecar_float(side, meta, "offset_alpha_deg")),
     )
+    return scan, side, meta
+
+
+def read_scan(path: str | os.PathLike) -> PolarimeterScan:
+    return _scan_and_sidecar(Path(path))[0]
 
 
 def read_scan_metadata(path: str | os.PathLike) -> dict:
     """Sidecar of a scan file, as a plain dict (empty if absent); a
     ``true_state`` must be a unit three-vector and comes back as floats."""
-    side, meta = _read_sidecar(Path(path), required=False)
+    return _scan_metadata(*_read_sidecar(Path(path), required=False))
+
+
+def _scan_metadata(side: Path, meta: dict) -> dict:
+    """The scan sidecar document ``meta``, read from ``side``, with its
+    ``true_state`` checked and made floats."""
     if "true_state" in meta:
         try:
             meta["true_state"] = _checked_true_state(meta["true_state"])

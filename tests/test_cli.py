@@ -1,15 +1,17 @@
 """Command-line behavior: workflows, manifests, determinism, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from polcomp.bench import synthetic_curve_set
 from polcomp.cli import main, parse_target
+import polcomp.io
 from polcomp.io import sidecar_path, write_curve, write_scan, write_sweep
 from polcomp.polarimetry import simulate_scan
-from polcomp.stokes import CARDINAL_STOKES
+from polcomp.stokes import CARDINAL_STOKES, cardinal_target
 
 from conftest import sweep_from_profile
 
@@ -337,3 +339,59 @@ def test_bench_with_too_few_curves_is_a_data_error(curve_files, tmp_path, capsys
     assert main(argv) == 1
     assert "3 or 4" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+def _parent_rule(text):
+    """The normalization every accepted 'u1,u2,u3' target has always had."""
+    vec = np.array([float(p) for p in text.split(",")])
+    return tuple(vec / float(np.linalg.norm(vec)))
+
+
+def test_accepted_targets_are_unchanged():
+    for name in CARDINAL_STOKES:
+        t, c = parse_target(name.lower()), cardinal_target(name)
+        assert (t.u1, t.u2, t.u3) == (c.u1, c.u2, c.u3)
+    rng = np.random.default_rng(18)
+    texts = ["0.6,0.0,0.8", "2,0,0", "-0.0,1e-3,-7", "1e150,1e150,0"]
+    for _ in range(300):
+        scale = 10.0 ** rng.integers(-4, 100, size=3)
+        texts.append(",".join(repr(float(x)) for x in rng.normal(size=3) * scale))
+    for text in texts:
+        t = parse_target(text)
+        assert np.array([t.u1, t.u2, t.u3]).tobytes() == np.array(_parent_rule(text)).tobytes()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1e308,1e308,0", (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
+    ("-1.7976931348623157e308,0,0", (-1.0, 0.0, 0.0)),
+    ("0,3e200,4e200", (0.0, 0.6, 0.8)),
+])
+def test_huge_target_components_normalize_without_overflow(text, expected):
+    t = parse_target(text)
+    assert (t.u1, t.u2, t.u3) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("text", ["nan,0,1", "inf,0,0", "0,-inf,1", "1,1,NaN"])
+def test_non_finite_target_components_are_refused_by_text(text):
+    with pytest.raises(ValueError) as exc:
+        parse_target(text)
+    assert str(exc.value) == f"target components must be finite, got {text!r}"
+
+
+def test_tomography_parses_each_sidecar_once(tmp_path, capsys, monkeypatch):
+    scans = tmp_path / "scans"
+    for name in ("H", "D", "R"):
+        u = cardinal_target(name)
+        write_scan(scans / f"{name}.csv", simulate_scan(CARDINAL_STOKES[name], 310, TWO_PI / 310),
+                   true_state=[u.u1, u.u2, u.u3])
+    parsed = []
+    read_json_doc = polcomp.io.read_json_doc
+
+    def counting(path):
+        parsed.append(path.name)
+        return read_json_doc(path)
+
+    monkeypatch.setattr(polcomp.io, "read_json_doc", counting)
+    assert main(["tomography", str(scans)]) == 0
+    assert sorted(parsed) == ["D.json", "H.json", "R.json"]
+    assert "mean fidelity over 3 scans" in capsys.readouterr().out

@@ -500,3 +500,104 @@ def test_sidecar_error_names_the_sidecar_once(tmp_path, noisy_sweep, kind, chang
     message = str(exc.value)
     assert message.startswith(f"{side}:")
     assert str(p) not in message
+
+
+# --- the reader contract: diagnostics and accepted variants ---------------------
+
+_SCAN_HEAD = "angle_deg,voltage_v\n"
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("0.0,1.0\n1.0,x1\n", ":3: column 'voltage_v': 'x1' is not a number"),
+    ("0.0,1.0\n1.0,\n", ":3: column 'voltage_v' must not be empty"),
+    ("0.0,1.0\n1.0\n", ":3: expected 2 fields, got 1"),
+    ("0.0,1.0\n1.0,2.0,3.0\n", ":3: expected 2 fields, got 3"),
+    # Two faults: the first in line order wins, whatever its kind.
+    ("0.0,1.0\n1.0\n2.0,bad\n", ":3: expected 2 fields, got 1"),
+    ("0.0,1.0\n1.0,bad\n2.0\n", ":3: column 'voltage_v': 'bad' is not a number"),
+    ("0.0,1.0\nzz,bad\n", ":3: column 'angle_deg': 'zz' is not a number"),
+    ("\n\n0.0,1.0\n\n1.0,q\n", ":6: column 'voltage_v': 'q' is not a number"),
+    # A whitespace-only line is a one-field row, not a blank line.
+    ("0.0,1.0\n   \n2.0,1.0\n", ":3: expected 2 fields, got 1"),
+    # CSV quoting: a quoted comma stays inside its cell.
+    ('0.0,1.0\n1.0,"1,5"\n', ":3: column 'voltage_v': '1,5' is not a number"),
+    # An unterminated quote runs on into the following lines.
+    ('0.0,1.0\n1.0,"2.0\n3.0,1.0\n', ":3: column 'voltage_v': '2.03.0,1.0' is not a number"),
+    ("0.0,1.0\r\n1.0,x\r\n", ":3: column 'voltage_v': 'x' is not a number"),
+    ("", ":1: no data rows"),
+])
+def test_malformed_scan_csv_gets_the_first_error(tmp_path, body, reason):
+    p = tmp_path / "scan.csv"
+    p.write_bytes((_SCAN_HEAD + body).encode())
+    write_json_doc(sidecar_path(p), {"background_voltage_v": 0.0, "offset_alpha_deg": 0.0})
+    with pytest.raises(FileFormatError) as exc:
+        read_scan(p)
+    assert str(exc.value) == f"{p}{reason}"
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_an_empty_file_is_named_at_line_one(tmp_path, text):
+    p = tmp_path / "scan.csv"
+    p.write_text(text)
+    with pytest.raises(FileFormatError) as exc:
+        read_scan(p)
+    assert str(exc.value) == f"{p}:1: empty file"
+
+
+def test_empty_cell_outside_the_nan_column_is_refused(tmp_path):
+    p = tmp_path / "curve.csv"
+    p.write_text(",".join(["drive_voltage_rms_v", "retardance_rad", "retardance_error_rad"])
+                 + "\n1.0,,0.1\n2.0,1.0,\n")
+    with pytest.raises(FileFormatError) as exc:
+        read_curve(p)
+    assert str(exc.value) == f"{p}:2: column 'retardance_rad' must not be empty"
+
+
+def _scan_file(tmp_path):
+    p = tmp_path / "scan.csv"
+    write_scan(p, simulate_scan(CARDINAL_STOKES["D"], 40, 2 * math.pi / 40, seed=1))
+    return p
+
+
+def _variants(text):
+    """Spellings of ``text`` that every reader must read alike."""
+    lines = text.splitlines()
+    return {
+        "crlf": "\r\n".join(lines) + "\r\n",
+        "blank-lines": "\n\n" + "\n\n".join(lines) + "\n\n",
+        "spaces": "\n".join(" , ".join(f" {c}\t" for c in ln.split(",")) for ln in lines),
+        "quoted": lines[0] + "\n" + "\n".join(
+            ",".join(f'"{c}"' for c in ln.split(",")) for ln in lines[1:]),
+    }
+
+
+@pytest.mark.parametrize("variant", ["crlf", "blank-lines", "spaces", "quoted"])
+def test_accepted_spellings_read_the_same_values(tmp_path, noisy_sweep, variant):
+    scan_p = _scan_file(tmp_path)
+    sweep_p = tmp_path / "sweep.csv"
+    write_sweep(sweep_p, noisy_sweep)
+    for p, read, names in [
+        (scan_p, read_scan, ("angles", "voltages")),
+        (sweep_p, read_sweep, ("drive_voltages", "mean_pd_voltages", "pd_voltage_sems")),
+    ]:
+        clean = read(p)
+        p.write_text(_variants(p.read_text())[variant])
+        back = read(p)
+        for name in names:
+            assert getattr(back, name).tobytes() == getattr(clean, name).tobytes()
+
+
+@pytest.mark.parametrize("rows", [[0], [3], [7], [0, 4, 7], list(range(8))])
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_nan_error_bars_read_back_anywhere(tmp_path, rows, blank):
+    curve = RetardanceCurve(np.linspace(1.0, 8.0, 8), np.linspace(5.0, 1.0, 8),
+                            np.full(8, 0.01))
+    p = tmp_path / "curve.csv"
+    write_curve(p, curve)
+    lines = p.read_text().splitlines()
+    for k in rows:
+        lines[k + 1] = lines[k + 1].rsplit(",", 1)[0] + "," + blank
+    p.write_text("\n".join(lines) + "\n")
+    errors = read_curve(p).retardance_errors
+    assert np.isnan(errors[rows]).all()
+    assert (errors[np.setdiff1d(np.arange(8), rows)] == 0.01).all()

@@ -564,3 +564,44 @@ def test_scan_csv_round_trip(tmp_path_factory, scan):
     np.testing.assert_array_equal(back.voltages, scan.voltages)
     assert back.background_voltage == scan.background_voltage
     assert back.offset_alpha == pytest.approx(scan.offset_alpha, rel=0, abs=1e-15)
+
+
+# Any finite double, with the values whose text is easiest to get wrong
+# drawn often; drive voltages stay in +-1e300 so their differences are finite.
+_TRICKY = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1 / 3,
+                           2.0**53, 1.7976931348623157e308])
+_ANY_FINITE = st.one_of(_TRICKY, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _columns(draw, n, elements):
+    return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_csv_round_trips_are_bit_identical(tmp_path_factory, data):
+    """Every written double, signed zeros and NaN error bars included,
+    reads back with the same bits."""
+    draw = data.draw
+    path = tmp_path_factory.mktemp("bits")
+    n = draw(st.integers(10, 30))
+    drive = _increasing(draw, n, -1e300, 1e300)
+    drive[drive == 0.0] = draw(st.sampled_from([-0.0, 0.0]))
+    sweep = CharacterizationSweep(
+        drive, _columns(draw, n, _ANY_FINITE),
+        np.abs(_columns(draw, n, _ANY_FINITE)), background_voltage=0.0)
+    curve = RetardanceCurve(
+        drive, _columns(draw, n, _ANY_FINITE),
+        _columns(draw, n, st.one_of(st.just(math.nan), _ANY_FINITE)))
+    scan = PolarimeterScan(np.linspace(0.0, 2 * math.pi, 16), _columns(draw, 16, _ANY_FINITE))
+    for write, read, obj, names in [
+        (write_sweep, read_sweep, sweep,
+         ("drive_voltages", "mean_pd_voltages", "pd_voltage_sems")),
+        (write_curve, read_curve, curve,
+         ("drive_voltages", "retardances", "retardance_errors")),
+        (write_scan, read_scan, scan, ("voltages",)),
+    ]:
+        write(path / "f.csv", obj)
+        back = read(path / "f.csv")
+        for name in names:
+            assert getattr(back, name).tobytes() == getattr(obj, name).tobytes(), name
