@@ -40,8 +40,7 @@ from .bench import (
 from .compensation import LoopConfig, run_compensation
 from .io import (
     FileFormatError,
-    _scan_and_sidecar,
-    _scan_metadata,
+    _read_scan_and_metadata,
     read_curve,
     read_json_doc,
     read_sweep,
@@ -150,11 +149,9 @@ def cmd_tomography(args: argparse.Namespace) -> tuple[int, list[str]]:
     entries = []
     fidelities = []
     for f in files:
-        # read_scan then read_scan_metadata, with one parse of the sidecar.
-        scan, side, meta = _scan_and_sidecar(f)
+        scan, meta = _read_scan_and_metadata(f)
         u = measure_stokes(scan)
         entry: dict = {"file": f.name, "stokes": [u.u1, u.u2, u.u3]}
-        meta = _scan_metadata(side, meta)
         line = f"{f.name}: u = ({u.u1:+.6f}, {u.u2:+.6f}, {u.u3:+.6f})"
         if "true_state" in meta:
             fid = fidelity(u, NormalizedStokes(*meta["true_state"]))

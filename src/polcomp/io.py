@@ -18,6 +18,10 @@ Conventions
 * All writes go to a temporary file in the target directory and are
   moved into place with ``os.replace``, so readers never observe a
   half-written file; a failed write leaves no temporary file behind.
+* A CSV in the writer's form converts in one pass; any other goes
+  through a row-by-row parse that names the first bad line and column.
+  A scan's sidecar is parsed once even when both the scan and its
+  metadata are wanted (``polcomp tomography``).
 * Errors raise :class:`FileFormatError`.  A CSV parse error names the
   CSV and line, a bad sidecar value names the sidecar, and a value the
   data class refuses names the CSV, each path once.
@@ -270,9 +274,7 @@ def _sidecar_float(path: Path, meta: dict, key: str, default: float | None = Non
 
 
 def _scan_and_sidecar(path: Path) -> tuple[PolarimeterScan, Path, dict]:
-    """The scan at ``path``, its sidecar's path and the sidecar document,
-    which :func:`_scan_metadata` turns into what
-    :func:`read_scan_metadata` returns without parsing it again."""
+    """The scan at ``path``, its sidecar's path and the sidecar document."""
     data = _read_csv(path, SCAN_HEADER, nan_ok=(False, False))
     side, meta = _read_sidecar(path, required=True)
     scan = _build(
@@ -303,6 +305,13 @@ def _scan_metadata(side: Path, meta: dict) -> dict:
         except ValueError as exc:
             raise FileFormatError(f"{side}: sidecar {exc}") from None
     return meta
+
+
+def _read_scan_and_metadata(path: Path) -> tuple[PolarimeterScan, dict]:
+    """:func:`read_scan` and :func:`read_scan_metadata` of ``path``, from
+    one parse of its sidecar."""
+    scan, side, meta = _scan_and_sidecar(path)
+    return scan, _scan_metadata(side, meta)
 
 
 def write_sweep(path: str | os.PathLike, sweep: CharacterizationSweep) -> None:
