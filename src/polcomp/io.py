@@ -18,10 +18,10 @@ Conventions
 * All writes go to a temporary file in the target directory and are
   moved into place with ``os.replace``, so readers never observe a
   half-written file; a failed write leaves no temporary file behind.
-* A CSV in the writer's form converts in one pass; any other goes
-  through a row-by-row parse that names the first bad line and column.
-  A scan's sidecar is parsed once even when both the scan and its
-  metadata are wanted (``polcomp tomography``).
+* Every accepted CSV converts in one pass; :mod:`csv` splits only text
+  holding a quote.  A refused file is scanned once more for its first
+  bad line and column.  A scan's sidecar is parsed once even when both
+  the scan and its metadata are wanted (``polcomp tomography``).
 * Errors raise :class:`FileFormatError`.  A CSV parse error names the
   CSV and line, a bad sidecar value names the sidecar, and a value the
   data class refuses names the CSV, each path once.
@@ -120,80 +120,67 @@ def _write_table(path: Path, header: Sequence[str], columns: list, meta: dict) -
     write_json_doc(sidecar_path(path), meta)
 
 
-def _convert_in_bulk(
-    lines: list[str], header: Sequence[str], nan_ok: Sequence[bool]
-) -> np.ndarray | None:
-    """The body of ``lines`` as an (n_rows, n_cols) array, converted in
-    one pass, or ``None`` when any line is not of the plain form the
-    writer writes: the exact header, then rows of ``len(header)`` cells
-    that ``float`` reads (or empty where ``nan_ok``), with no quoting."""
-    lines = list(filter(None, lines))
-    ncol = len(header)
-    if len(lines) < 2 or lines[0] != ",".join(header):
-        return None
-    body = lines[1:]
-    if set(map(str.count, body, repeat(","))) != {ncol - 1}:
-        return None
-    if max(map(len, body)) > csv.field_size_limit():  # csv refuses such a cell
-        return None
-    cells = ",".join(body).split(",")
-    for col, allow_nan in enumerate(nan_ok):
-        if allow_nan and "" in cells[col::ncol]:
-            cells[col::ncol] = ["nan" if cell == "" else cell for cell in cells[col::ncol]]
-    try:
-        values = list(map(float, cells))
-    except ValueError:  # a bad, empty, blank or quoted cell
-        return None
-    return np.array(values).reshape(len(body), ncol)
-
-
 def _read_csv(path: Path, header: Sequence[str], nan_ok: Sequence[bool]) -> np.ndarray:
     """Parse a fixed-width numeric CSV into an (n_rows, n_cols) array.
 
-    Blank lines are skipped; the first non-blank line must be the header.
-    A file in the writer's form converts in one pass; any other goes
-    through the row loop below, which alone names the first bad line.
+    Blank lines are skipped and the first non-blank line is the header;
+    cells are read stripped, an empty one as NaN where ``nan_ok``.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    data = _convert_in_bulk(lines, header, nan_ok)
-    if data is not None:
-        return data
-    reader = csv.reader(lines)
-    numbered = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-    if not numbered:
-        raise FileFormatError(f"{path}:1: empty file")
-    lineno, row = numbered[0]
-    if [c.strip() for c in row] != list(header):
-        raise FileFormatError(
-            f"{path}:{lineno}: expected header {','.join(header)!r}, got {','.join(row)!r}"
-        )
-    rows: list[list[float]] = []
-    for lineno, row in numbered[1:]:
-        if len(row) != len(header):
-            raise FileFormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        values: list[float] = []
-        for col, (cell, allow_nan) in enumerate(zip(row, nan_ok)):
-            cell = cell.strip()
-            if cell == "":
-                if allow_nan:
-                    values.append(math.nan)
-                    continue
-                raise FileFormatError(
-                    f"{path}:{lineno}: column {header[col]!r} must not be empty"
-                )
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}:{lineno}: column {header[col]!r}: "
-                    f"{cell!r} is not a number"
-                ) from None
-        rows.append(values)
-    if not rows:
-        raise FileFormatError(f"{path}:1: no data rows")
-    return np.asarray(rows, dtype=float)
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    ncol = len(header)
+    try:
+        if '"' in text:  # only csv knows quoting
+            head, *body = [row for row in csv.reader(lines) if row] or [[]]
+            fits = set(map(len, body)) == {ncol}
+            cells = [cell for row in body for cell in row]
+        else:  # one split of the joined body is much faster than one per line
+            head, *body = list(filter(None, lines)) or [""]
+            head = head.split(",")
+            fits = set(map(str.count, body, repeat(","))) == {ncol - 1}
+            cells = ",".join(body).split(",")
+        if fits and [cell.strip() for cell in head] == list(header):
+            cells = list(map(str.strip, cells))  # as _first_fault reads them
+            for col, allow_nan in enumerate(nan_ok):
+                if allow_nan and "" in cells[col::ncol]:
+                    cells[col::ncol] = [cell or "nan" for cell in cells[col::ncol]]
+            return np.array(list(map(float, cells))).reshape(-1, ncol)
+    except (ValueError, csv.Error):  # a cell that float or csv refuses
+        pass
+    lineno, message = _first_fault(lines, header, nan_ok)
+    raise FileFormatError(f"{path}:{lineno}: {message}")
+
+
+def _first_fault(
+    lines: list[str], header: Sequence[str], nan_ok: Sequence[bool]
+) -> tuple[int, str]:
+    """Line number and wording of the first fault, in line order, of a CSV
+    that :func:`_read_csv` refused, split into ``lines``.  A line is
+    numbered by its :mod:`csv` record, blank lines counted."""
+    lineno, head = 0, None
+    try:
+        for lineno, row in enumerate(csv.reader(lines), start=1):
+            if not row:
+                continue
+            if head is None:
+                head = row
+                if [cell.strip() for cell in row] != list(header):
+                    return lineno, f"expected header {','.join(header)!r}, got {','.join(row)!r}"
+            elif len(row) != len(header):
+                return lineno, f"expected {len(header)} fields, got {len(row)}"
+            else:
+                for name, cell, allow_nan in zip(header, row, nan_ok):
+                    cell = cell.strip()
+                    if cell == "" and not allow_nan:
+                        return lineno, f"column {name!r} must not be empty"
+                    try:
+                        float(cell or "nan")
+                    except ValueError:
+                        return lineno, f"column {name!r}: {cell!r} is not a number"
+    except csv.Error as exc:  # a field over csv's size limit, a NUL (Python 3.10)
+        return lineno + 1, str(exc)
+    # No row is at fault, so the file was refused for having no data rows.
+    return 1, "empty file" if head is None else "no data rows"
 
 
 def _read_sidecar(path: Path, required: bool) -> tuple[Path, dict]:

@@ -132,6 +132,9 @@ class RetardanceCurve:
         self.drive_voltages = np.asarray(self.drive_voltages, dtype=float).copy()
         self.retardances = np.asarray(self.retardances, dtype=float).copy()
         self.retardance_errors = np.asarray(self.retardance_errors, dtype=float).copy()
+        for name in ("drive_voltages", "retardances", "retardance_errors"):
+            if getattr(self, name).ndim != 1:
+                raise ValueError(f"{name} must be 1-D")
         n = self.drive_voltages.size
         if self.retardances.size != n or self.retardance_errors.size != n:
             raise ValueError("curve columns must have equal length")

@@ -395,3 +395,17 @@ def test_tomography_parses_each_sidecar_once(tmp_path, capsys, monkeypatch):
     assert main(["tomography", str(scans)]) == 0
     assert sorted(parsed) == ["D.json", "H.json", "R.json"]
     assert "mean fidelity over 3 scans" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+def test_characterize_refuses_a_long_cell_without_a_traceback(sweep_file, tmp_path, capsys,
+                                                             quoted):
+    # A cell longer than csv.field_size_limit() (131,072 characters).
+    cell = "1" * 140_003
+    lines = sweep_file.read_text().splitlines()
+    lines[2] = ",".join([lines[2].split(",")[0], f'"{cell}"' if quoted else cell, "0.001"])
+    sweep_file.write_text("\n".join(lines) + "\n")
+    assert main(["characterize", str(sweep_file), "-o", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sweep_file}")
+    assert "Traceback" not in err

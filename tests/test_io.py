@@ -601,3 +601,49 @@ def test_nan_error_bars_read_back_anywhere(tmp_path, rows, blank):
     errors = read_curve(p).retardance_errors
     assert np.isnan(errors[rows]).all()
     assert (errors[np.setdiff1d(np.arange(8), rows)] == 0.01).all()
+
+
+# --- what csv itself refuses is a FileFormatError too ---------------------------
+
+# csv refuses a field longer than csv.field_size_limit() (131,072 characters).
+_LONG_CELLS = {"number": "1" * 140_003, "text": "x" * 140_003}
+
+
+def _file_with_cell(tmp_path, noisy_sweep, kind, cell):
+    """A written sweep or scan whose line 3 holds ``cell`` in column 2."""
+    p = tmp_path / f"{kind}.csv"
+    if kind == "sweep":
+        write_sweep(p, noisy_sweep)
+    else:
+        write_scan(p, simulate_scan(CARDINAL_STOKES["H"], 310, 2 * math.pi / 310))
+    lines = p.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = cell
+    lines[2] = ",".join(cells)
+    p.write_bytes(("\n".join(lines) + "\n").encode())
+    return p, {"sweep": read_sweep, "scan": read_scan}[kind]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+@pytest.mark.parametrize("content", sorted(_LONG_CELLS))
+@pytest.mark.parametrize("kind", ["sweep", "scan"])
+def test_a_long_cell_is_a_file_format_error(tmp_path, noisy_sweep, kind, content, quoted):
+    cell = _LONG_CELLS[content]
+    p, read = _file_with_cell(tmp_path, noisy_sweep, kind, f'"{cell}"' if quoted else cell)
+    with pytest.raises(FileFormatError) as exc:
+        read(p)
+    if quoted or content == "text":
+        assert str(exc.value).startswith(f"{p}:3: ")
+    else:  # reads as inf, which the data class refuses
+        assert str(exc.value).startswith(f"{p}: ")
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+@pytest.mark.parametrize("kind", ["sweep", "scan"])
+def test_a_nul_byte_names_its_line(tmp_path, noisy_sweep, kind, quoted):
+    # csv raises on a NUL before Python 3.11 and reads it as data after,
+    # so only the file and line are the same everywhere.
+    p, read = _file_with_cell(tmp_path, noisy_sweep, kind, '"1.0\0"' if quoted else "1.0\0")
+    with pytest.raises(FileFormatError) as exc:
+        read(p)
+    assert str(exc.value).startswith(f"{p}:3: ")

@@ -331,6 +331,17 @@ def test_curve_arrays_are_read_only_copies():
     assert (curve.drive_voltages[0], curve.retardances[0]) == (0.1, 6.0)
 
 
+@pytest.mark.parametrize("name", ["drive_voltages", "retardances", "retardance_errors", "all"])
+def test_curve_columns_must_be_1d(name):
+    columns = {"drive_voltages": np.linspace(1.0, 6.0, 6),
+               "retardances": np.linspace(5.0, 1.0, 6),
+               "retardance_errors": np.full(6, 0.01)}
+    for key in columns if name == "all" else [name]:
+        columns[key] = columns[key].reshape(2, 3)
+    with pytest.raises(ValueError, match="drive_voltages" if name == "all" else name):
+        RetardanceCurve(**columns)
+
+
 def test_curve_built_from_another_looks_up_its_own_data():
     base = synthetic_retardance_curve(index=0)
     targets = np.array([0.5, 1.0, 2.0, 3.0, 5.5, 8.0])

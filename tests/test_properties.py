@@ -605,3 +605,41 @@ def test_csv_round_trips_are_bit_identical(tmp_path_factory, data):
         back = read(path / "f.csv")
         for name in names:
             assert getattr(back, name).tobytes() == getattr(obj, name).tobytes(), name
+
+
+# Ways to write one cell that every reader must read as the plain cell.
+_CELL_SPELLINGS = [
+    lambda c: c,
+    lambda c: f" {c}\t",
+    lambda c: f'"{c}"',
+    lambda c: f'" {c} "',
+    lambda c: f"\x1f{c}\x1f",  # blank to str.strip, though not to float
+]
+
+
+@settings(deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["sweep", "curve"]))
+def test_respelled_lines_read_back_bit_identical(tmp_path_factory, data, kind):
+    """Each line of a written file re-spelled on its own (cells spaced or
+    quoted, CRLF, blank lines before it) reads back the same values."""
+    draw = data.draw
+    write, read, obj, names = {
+        "sweep": (write_sweep, read_sweep, sweeps(),
+                  ("drive_voltages", "mean_pd_voltages", "pd_voltage_sems")),
+        "curve": (write_curve, read_curve, curves(),
+                  ("drive_voltages", "retardances", "retardance_errors")),
+    }[kind]
+    path = tmp_path_factory.mktemp("spell") / f"{kind}.csv"
+    write(path, draw(obj))
+    clean = read(path)
+    text = ""
+    for line in path.read_text().splitlines():
+        spell = draw(st.sampled_from(_CELL_SPELLINGS))
+        text += "\n" * draw(st.integers(0, 2)) + ",".join(map(spell, line.split(",")))
+        text += draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    path.write_bytes(text.encode())
+    back = read(path)
+    for name in names:
+        assert getattr(back, name).tobytes() == getattr(clean, name).tobytes(), name
