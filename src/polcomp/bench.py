@@ -10,8 +10,11 @@ calibration used to actuate it, and every scan carries detector noise
 and slow mount drift.
 
 All randomness flows from explicit integer seeds through
-``numpy.random.SeedSequence`` so that any trial, and any single
-measurement inside it, can be replayed bit-for-bit.
+``numpy.random.SeedSequence``, each consumer keyed by the seed and a tag
+of its own, so that any trial can be replayed bit-for-bit.  A
+:class:`VirtualApparatus` draws every reading from one generator and the
+same count of draws per reading, so its reading ``k`` replays by
+replaying its first ``k`` calls, whatever voltages they were given.
 """
 
 from __future__ import annotations
@@ -61,10 +64,16 @@ __all__ = [
 DEFAULT_SCAN_SAMPLES = 310
 DEFAULT_SCAN_STEP = 2.0 * math.pi / DEFAULT_SCAN_SAMPLES
 
-#: Seed-stream tags, so the same integer seed never feeds two different
-#: consumers the same bits.
+#: Seed-stream tags: a consumer's key is ``[seed, tag]``, so the same
+#: integer seed never feeds two different consumers the same bits.  The
+#: scan's is ``polarimetry._TAG_SCAN``.  Tags with the top bit set lie
+#: past any trial index that :func:`run_trials` keys with
+#: ``[base_seed, i]``.  No tag may be 0: ``SeedSequence`` drops trailing
+#: zero words, so ``[seed, 0]`` is the stream of ``[seed]``.
 _TAG_DISTURBANCE = 0xD157
-_TAG_CURVE_BIAS = 0x0007
+_TAG_SWEEP = 0x5EEF
+_TAG_CURVE_BIAS = 0x8000_B1A5
+_TAG_APPARATUS = 0x8000_A995
 
 
 @dataclass(frozen=True)
@@ -214,7 +223,7 @@ def simulate_characterization_sweep(
     delta = np.asarray(retardance_fn(v), dtype=float)
     clean = (1.0 - np.cos(delta)) / 2.0
     if pd_sigma > 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x5EEF]))
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _TAG_SWEEP]))
         reads = clean[None, :] + rng.normal(0.0, pd_sigma, (int(n_repeats), v.size))
         mean = reads.mean(axis=0)
         sem = np.full(v.size, pd_sigma / math.sqrt(n_repeats))
@@ -263,7 +272,7 @@ def virtual_measure(
     curves: Sequence[RetardanceCurve],
     true_source: StokesVector,
     noise: NoiseModel,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> NormalizedStokes:
     """One end-to-end polarimeter reading of the compensated link.
 
@@ -274,7 +283,9 @@ def virtual_measure(
     this disturbance), and the resulting scan is analyzed exactly as a
     real one would be.  The scan takes :data:`DEFAULT_SCAN_SAMPLES`
     samples :data:`DEFAULT_SCAN_STEP` apart, with no mount offset and
-    unit detector gain.
+    unit detector gain.  ``seed`` seeds the scan noise as in
+    :func:`~polcomp.polarimetry.simulate_scan`: an integer derives the
+    scan's own generator, a ``Generator`` is drawn from directly.
     """
     if len(compensator_voltages) != len(curves):
         raise ValueError(
@@ -299,9 +310,11 @@ def virtual_measure(
 class VirtualApparatus:
     """Callable measurement provider wrapping one disturbed link.
 
-    Each call burns one measurement seed derived from ``seed`` and the
-    call counter, so a loop run against this apparatus is reproducible
-    while successive measurements stay independent.
+    The apparatus builds one generator from ``seed`` when it is made, and
+    each call draws its reading's scan noise from it, the same count of
+    draws whatever the voltages.  A loop run against this apparatus is
+    reproducible, successive measurements stay independent, and call
+    ``k`` gives the same reading after any first ``k - 1`` calls.
     """
 
     disturbance: FiberDisturbance
@@ -310,11 +323,13 @@ class VirtualApparatus:
     source: StokesVector = field(default_factory=lambda: CARDINAL_STOKES["H"])
     seed: int = 0
     calls: int = field(default=0, init=False)
+    _rng: np.random.Generator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = np.random.SeedSequence([self.seed & 0xFFFFFFFF, _TAG_APPARATUS])
+        self._rng = np.random.default_rng(key)
 
     def __call__(self, voltages: Sequence[float]) -> NormalizedStokes:
-        scan_seed = int(
-            np.random.SeedSequence([self.seed & 0xFFFFFFFF, self.calls]).generate_state(1)[0]
-        )
         self.calls += 1
         return virtual_measure(
             self.disturbance,
@@ -322,7 +337,7 @@ class VirtualApparatus:
             self.curves,
             self.source,
             self.noise,
-            seed=scan_seed,
+            seed=self._rng,
         )
 
 

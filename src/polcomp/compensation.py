@@ -66,10 +66,12 @@ _STACK_ANGLES = (0.0, math.pi / 4.0, 0.0, math.pi / 4.0)
 #: First-cell retardances at which the solution family is enumerated;
 #: each yields two exact rows.
 _FAMILY_GRID = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-_FAMILY_COS = np.cos(_FAMILY_GRID)
-_FAMILY_SIN = np.sin(_FAMILY_GRID)
-#: The ``d1`` column of the family: the grid once per sign of ``b3``.
-_FAMILY_D1 = np.tile(_FAMILY_GRID, 2)
+#: Cell 1 at each grid angle takes ``(u2, u3)`` to
+#: ``(a2, a3) = _FAMILY_TURN[0] u2 + _FAMILY_TURN[1] u3``.
+_FAMILY_TURN = np.array([
+    [np.cos(_FAMILY_GRID), -np.sin(_FAMILY_GRID)],
+    [np.sin(_FAMILY_GRID), np.cos(_FAMILY_GRID)],
+])
 
 MeasurementProvider = Callable[[Sequence[float]], NormalizedStokes]
 """Applies the given drive voltages and returns one measured state."""
@@ -134,16 +136,19 @@ def _solution_family(u: Sequence[float], t: Sequence[float]) -> np.ndarray:
     perp_sq = t2 * t2 + t3 * t3
     if min(u1 * u1, perp_sq) < min(t1 * t1, u2 * u2 + u3 * u3):
         return -_solution_family(t, u)[:, ::-1]
-    a2 = _FAMILY_COS * u2 + _FAMILY_SIN * u3
-    a3 = -_FAMILY_SIN * u2 + _FAMILY_COS * u3
+    a2, a3 = _FAMILY_TURN[0] * u2 + _FAMILY_TURN[1] * u3
     r_sq = u1 * u1 + a3 * a3
     w_sq = np.where(r_sq > perp_sq, perp_sq - a2 * a2, r_sq - t1 * t1)
-    w = np.sqrt(np.maximum(w_sq, 0.0))
-    b3 = np.concatenate((w, -w))
-    a2, a3 = np.tile(a2, 2), np.tile(a3, 2)
-    d2 = np.arctan2(b3, t1) - np.arctan2(a3, u1)
-    d3 = np.arctan2(b3, a2) - math.atan2(t3, t2)
-    return np.column_stack((_FAMILY_D1, d2, d3))
+    b3 = np.empty((2, w_sq.size))
+    np.sqrt(np.maximum(w_sq, 0.0, out=w_sq), out=b3[0])
+    np.negative(b3[0], out=b3[1])
+    # One contiguous row per cell, each half of a row one sign of b3;
+    # the (2N, 3) result is a view of it.
+    cells = np.empty((3, 2, w_sq.size))
+    cells[0] = _FAMILY_GRID
+    np.subtract(np.arctan2(b3, t1), np.arctan2(a3, u1), out=cells[1])
+    np.subtract(np.arctan2(b3, a2), math.atan2(t3, t2), out=cells[2])
+    return cells.reshape(3, -1).T
 
 
 def solve_retardances(
@@ -164,26 +169,32 @@ def solve_retardances(
     one least outside the spans is picked, and its lookup clamps each
     out-of-span component to the end voltage.
     """
-    rows = _solution_family(
+    family = _solution_family(
         (s_dis.u1, s_dis.u2, s_dis.u3), (s_target.u1, s_target.u2, s_target.u3)
     )
     cells = curves[:3]
-    lows, highs = np.array([c.retardance_span for c in cells]).T
+    # One contiguous row of the family per cell, for the shift, lookup and slope.
+    rows = np.ascontiguousarray(family.T)
+    spans = np.array([c.retardance_span for c in cells])
+    lows, highs = spans[:, :1], spans[:, 1:]
     two_pi = 2.0 * math.pi
     rows = lows + np.mod(rows - lows, two_pi)
     over = rows - highs
     under = lows + two_pi - rows
     # Past the top of a span: take whichever wave lies nearer to it.
-    rows = np.where(over > under, rows - two_pi, rows)
-    volts = np.column_stack([voltage_for_retardance(c, rows[:, i]) for i, c in enumerate(cells)])
-    outside = np.maximum(np.minimum(over, under), 0.0).sum(axis=1)
-    reachable = outside == 0.0
+    np.subtract(rows, two_pi, out=rows, where=over > under)
+    volts = [voltage_for_retardance(c, row) for c, row in zip(cells, rows)]
+    # A component is reached when it lies in its span in either wave.
+    gap = np.minimum(over, under)
+    reachable = gap.max(axis=0) <= 0.0
     if reachable.any():
-        steepness = sum(curve_slope_at(c, volts[:, i]) for i, c in enumerate(cells))
-        pick = int(np.argmax(np.where(reachable, steepness, -np.inf)))
+        slopes = [curve_slope_at(c, v) for c, v in zip(cells, volts)]
+        steepness = slopes[0] + slopes[1] + slopes[2]
+        pick = int(np.where(reachable, steepness, -np.inf).argmax())
     else:
-        pick = int(np.argmin(outside))
-    return tuple(volts[pick].tolist())
+        gap = np.maximum(gap, 0.0)
+        pick = int(np.argmin(gap[0] + gap[1] + gap[2]))
+    return tuple(float(v[pick]) for v in volts)
 
 
 @dataclass

@@ -22,9 +22,12 @@ Conventions
   holding a quote.  A refused file is scanned once more for its first
   bad line and column.  A scan's sidecar is parsed once even when both
   the scan and its metadata are wanted (``polcomp tomography``).
+* Every file is read as UTF-8; a leading byte-order mark, as spreadsheet
+  programs write, is dropped.  Writers write no mark.
 * Errors raise :class:`FileFormatError`.  A CSV parse error names the
-  CSV and line, a bad sidecar value names the sidecar, and a value the
-  data class refuses names the CSV, each path once.
+  CSV and line, a file that is not UTF-8 or a bad sidecar value names
+  that file, and a value the data class refuses names the CSV, each
+  path once.
 """
 
 from __future__ import annotations
@@ -98,10 +101,20 @@ def write_json_doc(path: str | os.PathLike, doc: dict) -> None:
     _atomic_write_text(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of ``path``, without a leading byte-order mark; bytes
+    that are not UTF-8 raise :class:`FileFormatError` naming the file."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason}, byte {bad:#04x})") from None
+
+
 def read_json_doc(path: str | os.PathLike) -> dict:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -126,7 +139,7 @@ def _read_csv(path: Path, header: Sequence[str], nan_ok: Sequence[bool]) -> np.n
     Blank lines are skipped and the first non-blank line is the header;
     cells are read stripped, an empty one as NaN where ``nan_ok``.
     """
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     lines = text.splitlines()
     ncol = len(header)
     try:
@@ -375,7 +388,7 @@ def read_run_log(path: str | os.PathLike) -> tuple[list[dict], dict]:
     path = Path(path)
     steps: list[dict] = []
     summary: dict = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

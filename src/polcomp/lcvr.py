@@ -185,23 +185,26 @@ class RetardanceCurve:
 class _LookupTable:
     """What every lookup on one curve needs, computed once per curve.
 
-    ``order``/``ranked`` are the stable sort of the retardances and
-    ``head[k]`` is the lowest knot index among those equal to
-    ``ranked[k]``.  ``padded`` is the retardances with a NaN at each end.
-    ``rise`` and ``step`` are the retardance (0 replaced by 1) and voltage
-    increments of each knot interval, and ``slope[i - 1]`` is the slope
-    :func:`curve_slope_at` reports between knots ``i - 1`` and ``i + 1``
-    (the last knot, for ``i = n - 1``).  ``decreasing`` records whether
-    the retardances fall strictly from knot to knot, which lets
-    :func:`voltage_for_retardance` find its interval with one search.
-    ``xs``, ``ys`` and ``dr_dv`` are the knot voltages, the knot
-    retardances and the slope ``dr/dv`` of each interval as arrays of
-    doubles, so the scalar :func:`retardance_for_voltage` reads Python
-    floats and makes no numpy call.
+    ``order``/``ranked`` are the stable sort of the retardances,
+    ``ranked_v`` the knot voltages in that order (descending on a
+    strictly decreasing curve) and ``head[k]`` the lowest knot index
+    among those equal to ``ranked[k]``.  ``padded`` is the retardances
+    with a NaN at each end.  ``rise`` and ``step`` are the retardance (0
+    replaced by 1) and voltage increments of each knot interval, and
+    ``slope[i - 1]`` is the slope :func:`curve_slope_at` reports between
+    knots ``i - 1`` and ``i + 1`` (the last knot, for ``i = n - 1``).
+    ``decreasing`` records whether the retardances fall strictly from
+    knot to knot, which lets :func:`voltage_for_retardance` interpolate
+    with one ``np.interp``.  ``xs``, ``ys`` and ``dr_dv`` are the knot
+    voltages, the knot retardances and the slope ``dr/dv`` of each
+    interval as arrays of doubles, so the scalar
+    :func:`retardance_for_voltage` reads Python floats and makes no numpy
+    call.
     """
 
     order: np.ndarray
     ranked: np.ndarray
+    ranked_v: np.ndarray
     head: np.ndarray
     padded: np.ndarray
     rise: np.ndarray
@@ -223,6 +226,7 @@ class _LookupTable:
         return cls(
             order=order,
             ranked=ranked,
+            ranked_v=v[order],
             head=order[np.searchsorted(ranked, ranked)],
             padded=np.concatenate(([np.nan], r, [np.nan])),
             rise=np.where(rise == 0.0, 1.0, rise),
@@ -476,24 +480,22 @@ def voltage_for_retardance(
     endpoint voltage, never fatal: the caller decides whether an
     out-of-span target is acceptable before actuating it.
 
-    On a strictly decreasing curve that interval is the one with
-    ``r[lo] > target >= r[lo + 1]`` (a target on knot ``k`` refines in
-    interval ``k - 1`` to its far end), so one search finds it.
+    On a strictly decreasing curve the nearest knot always borders the
+    bracketing interval, so the lookup is ``np.interp`` of the target on
+    the retardances in rising order and their descending voltages: a
+    target on a knot returns that knot's voltage exactly.
     """
     t = np.asarray(target, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError(f"target retardance must be finite, got {target!r}")
     table = curve._table
+    ranked = table.ranked
+    if table.decreasing:
+        voltage = np.interp(t, ranked, table.ranked_v)
+        return float(voltage) if t.ndim == 0 else voltage
     r = curve.retardances
     v = curve.drive_voltages
-    ranked = table.ranked
     low, high = table.span
-    if table.decreasing:
-        # ranked is r reversed; the search counts the knots at or below t.
-        lo = (r.size - 2) - np.searchsorted(ranked[1:-1], t, side="right")
-        inside = v[lo] + ((t - r[lo]) / table.rise[lo]) * table.step[lo]
-        voltage = np.where(t <= low, v[-1], np.where(t >= high, v[0], inside))
-        return float(voltage) if t.ndim == 0 else voltage
     # The nearest knot is one of the two sorted neighbours of the target,
     # each taken as the lowest index of its run of equal retardances.
     pos = np.searchsorted(ranked[1:-1], t) + 1  # in [1, n - 1]
@@ -520,6 +522,6 @@ def curve_slope_at(
     curve: RetardanceCurve, voltage: float | np.ndarray
 ) -> float | np.ndarray:
     """Local |d(retardance)/d(voltage)| near a drive voltage (scalar or array)."""
-    i = np.searchsorted(curve.drive_voltages[1:-1], voltage)  # in [0, n - 2]
+    i = curve.drive_voltages[1:-1].searchsorted(voltage)  # in [0, n - 2]
     slope = curve._table.slope[i]
     return float(slope) if slope.ndim == 0 else slope

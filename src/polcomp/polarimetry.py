@@ -46,6 +46,8 @@ log = logging.getLogger(__name__)
 
 #: Minimum number of samples for a usable scan.
 MIN_SAMPLES = 16
+#: Seed-stream tag of a scan seeded by an integer.
+_TAG_SCAN = 0x5CA9
 #: Slack factor (in units of the mean angular step) allowed on the
 #: full-revolution span check, to tolerate encoder jitter at the ends.
 _SPAN_SLACK_STEPS = 1.25
@@ -154,7 +156,7 @@ def simulate_scan(
     step: float,
     alpha: float = 0.0,
     noise: "NoiseModel | None" = None,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     gain: float = 1.0,
 ) -> PolarimeterScan:
     """Generate a synthetic scan of ``s_in`` with an optional noise model.
@@ -167,6 +169,12 @@ def simulate_scan(
     the slow mount-zero wander seen between re-homings of a real stage.
     With ``noise=None`` (or an all-zero model) the scan is exact and the
     seed is irrelevant.
+
+    ``seed`` is an integer, from which the scan derives a generator of
+    its own (tagged, so no other consumer of the same integer shares its
+    bits), or a ``numpy.random.Generator`` that the scan draws from
+    directly: the detector noise, then the drift, the same count of
+    draws for every state.
     """
     s_in.validate()
     n_samples = int(n_samples)
@@ -189,7 +197,10 @@ def simulate_scan(
     background = 0.0
     drift = 0.0
     if noise is not None:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x5CA9]))
+        if isinstance(seed, np.random.Generator):
+            rng = seed
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _TAG_SCAN]))
         background = float(noise.background_v)
         volts += background
         if noise.pd_sigma > 0.0:

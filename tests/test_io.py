@@ -647,3 +647,44 @@ def test_a_nul_byte_names_its_line(tmp_path, noisy_sweep, kind, quoted):
     with pytest.raises(FileFormatError) as exc:
         read(p)
     assert str(exc.value).startswith(f"{p}:3: ")
+
+
+def test_csv_that_is_not_utf8_names_the_file(tmp_path, noisy_sweep):
+    p = tmp_path / "sweep.csv"
+    write_sweep(p, noisy_sweep)
+    head, line2, rest = p.read_bytes().split(b"\n", 2)
+    p.write_bytes(b"\n".join((head, line2 + b"\xb5", rest)))  # a Latin-1 micro sign
+    with pytest.raises(FileFormatError, match=r"sweep\.csv: not UTF-8 text .*0xb5"):
+        read_sweep(p)
+
+
+def test_sidecar_that_is_not_utf8_names_the_sidecar(tmp_path, noisy_sweep):
+    p = tmp_path / "sweep.csv"
+    write_sweep(p, noisy_sweep)
+    side = sidecar_path(p)
+    side.write_bytes(side.read_bytes().replace(b"}", b', "note": "\xb5"}'))
+    with pytest.raises(FileFormatError, match=r"sweep\.json: not UTF-8 text"):
+        read_sweep(p)
+
+
+@pytest.mark.parametrize("kind", ["scan", "sweep", "curve"])
+def test_csv_with_a_byte_order_mark_reads_like_one_without(tmp_path, kind, noisy_sweep):
+    p = tmp_path / f"{kind}.csv"
+    if kind == "scan":
+        write_scan(p, simulate_scan(CARDINAL_STOKES["D"], 310, 2 * math.pi / 310,
+                                    noise=NoiseModel.lab(), seed=2))
+        read = read_scan
+    elif kind == "sweep":
+        write_sweep(p, noisy_sweep)
+        read = read_sweep
+    else:
+        write_curve(p, synthetic_curve_set(1)[0])
+        read = read_curve
+    plain = read(p)
+    p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    marked = read(p)
+    for name, value in vars(plain).items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(getattr(marked, name), value)
+        else:
+            assert getattr(marked, name) == value
