@@ -13,9 +13,10 @@ pi.  A nematic cell's curve is monotone, so its folds alternate between
 the visit's sample nearest the boundary, on the side that a three-sample
 closed form gives: exact wherever the curve's second difference is
 constant across the fold.  :func:`build_curve` then orients the
-result as a monotonically non-increasing curve (retardance drops as
-voltage rises in a nematic cell) and shifts it into the physical branch
-whose minimum lies in the first wave.
+result as a non-increasing curve (retardance drops as voltage rises in a
+nematic cell), shifts it into the physical branch whose minimum lies in
+the first wave, and fits it to fall strictly: every :class:`RetardanceCurve`
+does, so a voltage lookup is one ``np.interp``.
 
 The propagated retardance uncertainty uses the closed form
 
@@ -113,12 +114,14 @@ class CharacterizationSweep:
 class RetardanceCurve:
     """Unwrapped retardance vs drive voltage for one cell.
 
-    ``retardance_errors`` holds NaN where no finite error bar exists
-    (clamped arccos arguments and the sweep maximum).  ``fold_count`` is
-    recorded by :func:`build_curve`; curves constructed directly (e.g.
-    synthetic ones) may leave it ``None``.  The three arrays are private
-    read-only copies, so the lookup table a curve builds on its first
-    lookup stays valid; new data makes a new curve.
+    The retardance falls strictly from knot to knot, as a nematic cell's
+    does; any other curve is refused with a ``ValueError`` naming the
+    first knot that does not fall.  ``retardance_errors`` holds NaN where
+    no finite error bar exists (clamped arccos arguments and the sweep
+    maximum).  ``fold_count`` is recorded by :func:`build_curve`; curves
+    constructed directly (e.g. synthetic ones) may leave it ``None``.  The
+    three arrays are private read-only copies, so the lookup table a curve
+    builds on its first lookup stays valid; new data makes a new curve.
     """
 
     drive_voltages: np.ndarray
@@ -146,6 +149,13 @@ class RetardanceCurve:
             raise ValueError("retardances must be finite")
         if np.any(np.diff(self.drive_voltages) <= 0.0):
             raise ValueError("drive voltages must be strictly increasing")
+        r = self.retardances
+        held = np.flatnonzero(r[1:] >= r[:-1])
+        if held.size:
+            i = int(held[0]) + 1
+            raise ValueError(f"retardances must fall strictly from knot to knot: knot {i} "
+                             f"({float(r[i])!r} rad at {float(self.drive_voltages[i])!r} V) "
+                             f"does not fall below knot {i - 1} ({float(r[i - 1])!r} rad)")
         if not (self.wavelength_nm is None or 0.0 < self.wavelength_nm < math.inf):
             raise ValueError(f"wavelength_nm must be in (0, inf), got {self.wavelength_nm!r}")
         if not (math.isfinite(self.voltage_step) and self.voltage_step >= 0.0):
@@ -160,10 +170,10 @@ class RetardanceCurve:
     def __len__(self) -> int:
         return int(self.drive_voltages.size)
 
-    @property
+    @cached_property
     def retardance_span(self) -> tuple[float, float]:
-        """Lowest and highest retardance on the curve."""
-        return self._table.span
+        """Lowest and highest retardance on the curve: its last and first knot."""
+        return float(self.retardances[-1]), float(self.retardances[0])
 
     @cached_property
     def voltage_span(self) -> tuple[float, float]:
@@ -185,58 +195,34 @@ class RetardanceCurve:
 class _LookupTable:
     """What every lookup on one curve needs, computed once per curve.
 
-    ``order``/``ranked`` are the stable sort of the retardances,
-    ``ranked_v`` the knot voltages in that order (descending on a
-    strictly decreasing curve) and ``head[k]`` the lowest knot index
-    among those equal to ``ranked[k]``.  ``padded`` is the retardances
-    with a NaN at each end.  ``rise`` and ``step`` are the retardance (0
-    replaced by 1) and voltage increments of each knot interval, and
+    ``ranked`` and ``ranked_v`` are the knot retardances and voltages
+    reversed, so retardance rises, and contiguous for ``np.interp``.
     ``slope[i - 1]`` is the slope :func:`curve_slope_at` reports between
     knots ``i - 1`` and ``i + 1`` (the last knot, for ``i = n - 1``).
-    ``decreasing`` records whether the retardances fall strictly from
-    knot to knot, which lets :func:`voltage_for_retardance` interpolate
-    with one ``np.interp``.  ``xs``, ``ys`` and ``dr_dv`` are the knot
-    voltages, the knot retardances and the slope ``dr/dv`` of each
-    interval as arrays of doubles, so the scalar
-    :func:`retardance_for_voltage` reads Python floats and makes no numpy
-    call.
+    ``xs``, ``ys`` and ``dr_dv`` are the knot voltages, the knot
+    retardances and the slope ``dr/dv`` of each interval as arrays of
+    doubles, so the scalar :func:`retardance_for_voltage` reads Python
+    floats and makes no numpy call.
     """
 
-    order: np.ndarray
     ranked: np.ndarray
     ranked_v: np.ndarray
-    head: np.ndarray
-    padded: np.ndarray
-    rise: np.ndarray
-    step: np.ndarray
     slope: np.ndarray
-    span: tuple[float, float]
-    decreasing: bool
     xs: array
     ys: array
     dr_dv: array
 
     @classmethod
     def build(cls, v: np.ndarray, r: np.ndarray) -> "_LookupTable":
-        order = np.argsort(r, kind="stable")
-        ranked = r[order]
-        rise = np.diff(r)
         i = np.arange(1, r.size)
         hi = np.minimum(i + 1, r.size - 1)
         return cls(
-            order=order,
-            ranked=ranked,
-            ranked_v=v[order],
-            head=order[np.searchsorted(ranked, ranked)],
-            padded=np.concatenate(([np.nan], r, [np.nan])),
-            rise=np.where(rise == 0.0, 1.0, rise),
-            step=np.diff(v),
+            ranked=np.ascontiguousarray(r[::-1]),
+            ranked_v=np.ascontiguousarray(v[::-1]),
             slope=np.abs((r[hi] - r[i - 1]) / (v[hi] - v[i - 1])),
-            span=(float(ranked[0]), float(ranked[-1])),
-            decreasing=bool((r[1:] < r[:-1]).all()),
             xs=array("d", v.tobytes()),
             ys=array("d", r.tobytes()),
-            dr_dv=array("d", (rise / np.diff(v)).tobytes()),
+            dr_dv=array("d", (np.diff(r) / np.diff(v)).tobytes()),
         )
 
 
@@ -264,13 +250,9 @@ def retardance_from_intensity(v_meas, v_back: float, v_max: float):
     if not (math.isfinite(v_back) and math.isfinite(v_max)):
         raise CalibrationError("v_back and v_max must be finite")
     if v_max <= v_back:
-        raise CalibrationError(
-            f"v_max ({v_max!r}) must exceed v_back ({v_back!r})"
-        )
+        raise CalibrationError(f"v_max ({v_max!r}) must exceed v_back ({v_back!r})")
     ret, _ = _principal_retardance(v_meas, v_back, v_max)
-    if np.ndim(v_meas) == 0:
-        return float(ret)
-    return ret
+    return float(ret) if np.ndim(v_meas) == 0 else ret
 
 
 def _error_array(v_meas, v_back, v_max, sem_meas, sem_back):
@@ -399,6 +381,52 @@ def unwrap_retardance(raw) -> np.ndarray:
     return out
 
 
+def _pool_adjacent_violators(y: np.ndarray, w: np.ndarray) -> tuple[list[float], list[int]]:
+    """Weighted least-squares non-increasing fit of ``y``: its blocks' values
+    (falling strictly, so a tie pools too) and sizes.  A value is its
+    block's weighted mean, updated as blocks join, so a block of one knot or
+    of equal knots keeps their value."""
+    blocks: list[tuple[float, float, int]] = []  # (value, weight, size)
+    for value, weight in zip(y.tolist(), w.tolist()):
+        size = 1
+        while blocks and blocks[-1][0] <= value:
+            prior, prior_weight, prior_size = blocks.pop()
+            value = prior + (value - prior) * (weight / (prior_weight + weight))
+            weight, size = weight + prior_weight, size + prior_size
+        blocks.append((value, weight, size))
+    values, _, sizes = zip(*blocks)
+    return list(values), list(sizes)
+
+
+def _falling_fit(y: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """The pool-adjacent-violators fit of ``y``, tilted to fall strictly.
+
+    Each knot weighs ``1 / err**2``, scaled so that no sum overflows; a
+    NaN or zero error bar takes the median finite weight, and if none is
+    finite (a noise-free sweep) every knot weighs the same.  The fit
+    holds each pooled block flat, but the one lookup path, ``np.interp``
+    on the knots in rising retardance, needs them to rise strictly.  So
+    each block is tilted evenly about its value across less than half
+    the gap to the nearer neighbouring block, which keeps the blocks in
+    order; knots that already fall strictly come back bit for bit.  A
+    fit that is one flat block raises :class:`CalibrationError`.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 / errors**2
+    finite = np.isfinite(w) & (w > 0.0)
+    w = np.where(finite, w, np.median(w[finite]) if finite.any() else 1.0)
+    values, sizes = _pool_adjacent_violators(y, np.maximum(w / w.max(), np.finfo(float).tiny))
+    if len(values) == y.size:
+        return y
+    if len(values) == 1:
+        raise CalibrationError("retardance does not fall across the sweep")
+    gaps = -np.diff(values)
+    half = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) / 2.0
+    size = np.repeat(sizes, sizes)
+    j = np.arange(y.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return np.repeat(values, sizes) + np.repeat(half, sizes) * ((size - 1) / 2.0 - j) / size
+
+
 def build_curve(
     sweep: CharacterizationSweep, wavelength_nm: float | None = None
 ) -> RetardanceCurve:
@@ -410,14 +438,13 @@ def build_curve(
     and shifted so its minimum sits inside the first wave — the branch a
     nematic cell actually occupies at high drive.  Points whose arccos
     argument was clamped, and the extremes of the span, get NaN error
-    bars rather than infinite ones.
+    bars rather than infinite ones.  Last, :func:`_falling_fit` makes the
+    retardances fall strictly, keeping every knot.
     """
     v_back = sweep.background_voltage
     v_max = float(sweep.mean_pd_voltages.max())
     if v_max <= v_back:
-        raise CalibrationError(
-            f"sweep maximum {v_max!r} does not exceed background {v_back!r}"
-        )
+        raise CalibrationError(f"sweep maximum {v_max!r} does not exceed background {v_back!r}")
     raw, clamped = _principal_retardance(sweep.mean_pd_voltages, v_back, v_max)
     unwrapped, folds = _unwrap_with_folds(raw)
 
@@ -439,7 +466,7 @@ def build_curve(
 
     return RetardanceCurve(
         drive_voltages=sweep.drive_voltages,
-        retardances=unwrapped,
+        retardances=_falling_fit(unwrapped, errors),
         retardance_errors=errors,
         wavelength_nm=wavelength_nm,
         fold_count=len(folds),
@@ -468,53 +495,21 @@ def retardance_for_voltage(curve: RetardanceCurve, voltage: float) -> float:
 def voltage_for_retardance(
     curve: RetardanceCurve, target: float | np.ndarray
 ) -> float | np.ndarray:
-    """Drive voltage whose interpolated retardance is nearest to ``target``.
+    """Drive voltage whose interpolated retardance is ``target``.
 
     Accepts a scalar or an array of targets and returns a float or an
     array to match; the coarse solve looks up every row of its solution
-    family in one call per cell.  The nearest knot is found in
-    sorted-retardance order, so noisy, non-monotone curves are handled;
-    ties go to the lowest knot index.  The voltage is then refined within
-    the knot interval, before or after the nearest knot, that brackets the
-    target.  Targets outside the curve span clamp to the corresponding
-    endpoint voltage, never fatal: the caller decides whether an
+    family in one call per cell.  The curve falls strictly, so this is
+    ``np.interp`` on its knots in rising retardance: a target on a knot
+    returns that knot's voltage exactly, and one outside the span clamps
+    to the end voltage, never fatal: the caller decides whether an
     out-of-span target is acceptable before actuating it.
-
-    On a strictly decreasing curve the nearest knot always borders the
-    bracketing interval, so the lookup is ``np.interp`` of the target on
-    the retardances in rising order and their descending voltages: a
-    target on a knot returns that knot's voltage exactly.
     """
     t = np.asarray(target, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError(f"target retardance must be finite, got {target!r}")
     table = curve._table
-    ranked = table.ranked
-    if table.decreasing:
-        voltage = np.interp(t, ranked, table.ranked_v)
-        return float(voltage) if t.ndim == 0 else voltage
-    r = curve.retardances
-    v = curve.drive_voltages
-    low, high = table.span
-    # The nearest knot is one of the two sorted neighbours of the target,
-    # each taken as the lowest index of its run of equal retardances.
-    pos = np.searchsorted(ranked[1:-1], t) + 1  # in [1, n - 1]
-    below = table.head[pos - 1]
-    above = table.order[pos]
-    gap_below = np.abs(ranked[pos - 1] - t)
-    gap_above = np.abs(ranked[pos] - t)
-    take_below = (gap_below < gap_above) | ((gap_below == gap_above) & (below < above))
-    nearest = np.where(take_below, below, above)
-    # Refine within the knot interval, before or after it, that brackets
-    # the target (NaN padding rules out the intervals past either end).
-    offset = r[nearest] - t
-    use_prev = offset * (table.padded[nearest] - t) <= 0.0
-    bracketed = use_prev | (offset * (table.padded[nearest + 2] - t) <= 0.0)
-    lo = np.minimum(nearest - use_prev, r.size - 2)
-    frac = (t - r[lo]) / table.rise[lo]
-    # At or past either end of the span the nearest knot is that end.
-    on_edge = (t <= low) | (t >= high)
-    voltage = np.where(bracketed & ~on_edge, v[lo] + frac * table.step[lo], v[nearest])
+    voltage = np.interp(t, table.ranked, table.ranked_v)
     return float(voltage) if t.ndim == 0 else voltage
 
 

@@ -143,6 +143,23 @@ def test_compensate_bad_curve_sidecar_is_a_data_error(curve_files, tmp_path, cap
     assert "curve2.json" in err and key in err
 
 
+def test_compensate_refuses_a_curve_that_does_not_fall(curve_files, tmp_path, capsys):
+    # Knot 4 of cell 1 repeats knot 3: no lookup can invert that curve.
+    lines = curve_files[1].read_text().splitlines()
+    v, _, e = lines[5].split(",")
+    lines[5] = ",".join([v, lines[4].split(",")[1], e])
+    curve_files[1].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r.jsonl"
+    argv = ["compensate", "--target", "H", "-o", str(out)]
+    for p in curve_files:
+        argv += ["--curve", str(p)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {curve_files[1]}: ") and "knot 4" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "r.jsonl.manifest.json").exists()
+
+
 def test_compensate_end_to_end(curve_files, tmp_path, capsys):
     out = tmp_path / "run.jsonl"
     argv = ["compensate"]

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import rescaled_curve_set
+from polcomp import compensation
 from polcomp.bench import (
     FiberDisturbance,
     NoiseModel,
     VirtualApparatus,
     random_disturbance,
     run_trials,
+    simulate_characterization_sweep,
     synthetic_curve_set,
 )
 from polcomp.compensation import (
@@ -31,7 +33,7 @@ from polcomp.compensation import (
     solve_retardances,
 )
 from polcomp.lcvr import (
-    RetardanceCurve,
+    build_curve,
     curve_slope_at,
     retardance_for_voltage,
     voltage_for_retardance,
@@ -421,16 +423,15 @@ def test_fine_correction_holds_on_the_target_and_its_antipode(name):
     assert _fine_correction(rec, run.target, curves) == rec.voltages
 
 
-def test_fine_correction_holds_where_no_cell_turns_the_reading():
-    # Flat curves have slope 0 at every voltage: no move turns the reading.
+def test_fine_correction_holds_where_no_cell_turns_the_reading(monkeypatch):
+    # With slope 0 at every voltage, no move turns the reading.  Every
+    # curve falls strictly, so the slope is patched to 0 instead.
     curves = synthetic_curve_set(4)
     run = CompensationRun.begin(curves, cardinal_target("H"), LoopConfig())
     rec = run.record("fine", cardinal_target("D"), 0.5)
-    flat = [RetardanceCurve(c.drive_voltages, np.full(len(c), 1.0), c.retardance_errors)
-            for c in curves]
-    assert [curve_slope_at(c, v) for c, v in zip(flat, rec.voltages)] == [0.0] * 4
-    assert _fine_correction(rec, run.target, flat) == rec.voltages
     assert _fine_correction(rec, run.target, curves) != rec.voltages
+    monkeypatch.setattr(compensation, "curve_slope_at", lambda curve, voltage: 0.0)
+    assert _fine_correction(rec, run.target, curves) == rec.voltages
 
 
 # --- whole runs -----------------------------------------------------------------------
@@ -481,6 +482,31 @@ def test_stale_calibration_never_exhausts_the_budget(curve_error, cells):
     stats = run_trials(600, noise=noise, base_seed=11, keep_runs=True,
                        curves=synthetic_curve_set(cells))
     assert [run.reason for run in stats.runs].count("budget_exhausted") == 0
+
+
+@pytest.mark.parametrize("first_seed", [100, 104, 108])
+def test_loop_on_self_calibrated_curves(first_seed):
+    # The lab's own flow: each cell characterized from one lab-noise sweep
+    # (seeds first_seed..first_seed + 3), the loop actuating through the
+    # built curves while the bench reads the true ones.  Over ten sweep-seed
+    # sets (first seeds 100, 104, ..., 136; 200 trials each) the mean steps
+    # to 0.995 ran 2.50-3.35 and no run exhausted its budget.
+    true, noise = synthetic_curve_set(4), NoiseModel.lab()
+    built = [
+        build_curve(simulate_characterization_sweep(
+            c.drive_voltages, lambda v, c=c: np.interp(v, c.drive_voltages, c.retardances),
+            pd_sigma=noise.pd_sigma, seed=first_seed + k))
+        for k, c in enumerate(true)
+    ]
+    assert all(np.all(np.diff(c.retardances) < 0.0) for c in built)
+    runs = []
+    for i in range(200):
+        state = np.random.SeedSequence([11, i]).generate_state(2)
+        app = VirtualApparatus(disturbance=random_disturbance(int(state[0])), curves=true,
+                               noise=noise, seed=int(state[1]))
+        runs.append(run_compensation(app, built, cardinal_target("HVDARL"[i % 6])))
+    assert [run.reason for run in runs].count("budget_exhausted") == 0
+    assert np.mean([run.steps_to_995 for run in runs]) <= 3.5
 
 
 def _rule_voltages(run, k):

@@ -4,6 +4,7 @@ diagnostics that name file and line."""
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,19 @@ def test_invalid_scan_data_is_wrapped(tmp_path):
                                      "offset_alpha_deg": 0.0})
     with pytest.raises(FileFormatError, match=r"scan\.csv"):
         read_scan(p)
+
+
+@pytest.mark.parametrize("rise", [0.0, 0.1], ids=["tied", "rising"])
+def test_a_curve_that_does_not_fall_strictly_is_refused(tmp_path, rise):
+    p = tmp_path / "curve.csv"
+    write_curve(p, synthetic_curve_set(1)[0])
+    lines = p.read_text().splitlines()
+    v, _, e = lines[5].split(",")  # knot 4, after the header and knots 0-3
+    lines[5] = ",".join([v, repr(float(lines[4].split(",")[1]) + rise), e])
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(p))}: .*knot 4 .* does not "
+                                              r"fall below knot 3 "):
+        read_curve(p)
 
 
 def test_json_doc_errors(tmp_path):

@@ -4,6 +4,7 @@ scan estimator, unwrapping and the file formats, checked over generated
 inputs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,9 +34,13 @@ from polcomp.compensation import (
 from polcomp.io import read_curve, read_scan, read_sweep, write_curve, write_scan, write_sweep
 from polcomp.lcvr import (
     FOLD_THRESHOLD,
+    CalibrationError,
     CharacterizationSweep,
     RetardanceCurve,
+    UnwrapAmbiguityError,
     _boundary_runs,
+    _falling_fit,
+    _pool_adjacent_violators,
     build_curve,
     curve_slope_at,
     retardance_for_voltage,
@@ -167,9 +172,11 @@ def test_a_reading_does_not_depend_on_earlier_voltages(seed, before, last):
 
 
 def _plateau(curve):
-    """``curve`` with retardances rounded to 0.05 rad: runs of equal
-    retardances and zero-rise intervals."""
-    return RetardanceCurve(curve.drive_voltages, np.round(curve.retardances / 0.05) * 0.05,
+    """``curve`` with retardances rounded to 0.05 rad, then fitted falling
+    as :func:`build_curve` fits a sweep: each run of equal retardances
+    becomes a block tilted across less than 0.025 rad."""
+    stepped = np.round(curve.retardances / 0.05) * 0.05
+    return RetardanceCurve(curve.drive_voltages, _falling_fit(stepped, curve.retardance_errors),
                            curve.retardance_errors, voltage_step=curve.voltage_step)
 
 
@@ -193,27 +200,11 @@ def test_solve_voltages_match_two_step_reference(name, u, t):
 # --- array lookups against the scalar reference -------------------------------------
 
 def _reference_voltage(curve, target):
-    """The scalar nearest-knot lookup that the array form must reproduce."""
-    target = float(target)
+    """The scalar lookup that the array form must reproduce: ``np.interp``
+    on the knots in rising retardance (every curve falls strictly)."""
     r = curve.retardances
     v = curve.drive_voltages
-    if np.all(np.diff(r) < 0.0):  # strictly decreasing: np.interp on the rising knots
-        return float(np.interp(target, r[::-1], v[::-1]))
-    i_min = int(np.argmin(r))
-    i_max = int(np.argmax(r))
-    if target <= r[i_min]:
-        return float(v[i_min])
-    if target >= r[i_max]:
-        return float(v[i_max])
-    nearest = int(np.argmin(np.abs(r - target)))
-    for j in (nearest - 1, nearest + 1):
-        if 0 <= j < r.size and (r[nearest] - target) * (r[j] - target) <= 0.0:
-            lo, hi = sorted((nearest, j))
-            if r[hi] == r[lo]:
-                return float(v[lo])
-            frac = (target - r[lo]) / (r[hi] - r[lo])
-            return float(v[lo] + frac * (v[hi] - v[lo]))
-    return float(v[nearest])
+    return float(np.interp(float(target), r[::-1], v[::-1]))
 
 
 def _reference_slope(curve, voltage):
@@ -226,7 +217,8 @@ def _reference_slope(curve, voltage):
 
 
 _SYNTHETIC = synthetic_retardance_curve(index=1)
-# Heavy noise on a 0.01 V grid: the unwrapped curve is not monotone.
+# Heavy noise on a 0.01 V grid: the unwrapped curve rises on many
+# intervals, so the falling fit pools many blocks.
 _NOISY = build_curve(
     sweep_from_profile(np.arange(0.1, 16.005, 0.01), pd_sigma=0.02, n_repeats=3, seed=8)
 )
@@ -243,21 +235,13 @@ _LOOKUP_CURVES = {"synthetic": _SYNTHETIC, "noisy": _NOISY, "plateau": _PLATEAU,
                   "sparse": _SPARSE}
 
 
-def test_noisy_reference_curve_is_not_monotone():
-    steps = np.diff(_NOISY.retardances)
-    assert np.any(steps > 0) and np.any(steps < 0)
+def test_noisy_reference_curve_falls_strictly():
+    assert np.all(np.diff(_NOISY.retardances) < 0.0)
+    assert len(_NOISY) == 1591
 
 
-def test_plateau_reference_curve_has_flat_runs():
-    assert np.any(np.diff(_PLATEAU.retardances) == 0.0)
-
-
-def test_only_strictly_decreasing_curves_take_the_one_search_path():
-    assert all(c._table.decreasing for c in synthetic_curve_set(4))
-    assert _SYNTHETIC._table.decreasing and _SPARSE._table.decreasing
+def test_sparse_reference_curve_tells_knot_intervals_apart():
     assert _SPARSE_V[3] + (_SPARSE_V[4] - _SPARSE_V[3]) != _SPARSE_V[4]
-    assert not _NOISY._table.decreasing
-    assert not _PLATEAU._table.decreasing
 
 
 def _with_neighbours(values):
@@ -300,7 +284,7 @@ def test_voltage_lookup_matches_scalar_reference_on_every_knot(name):
 
 # Knots 5e-310 V apart: the slope of that interval overflows to -inf, so
 # only the knot test keeps the lookup at the first knot finite.
-_STEEP = RetardanceCurve([0.0, 5e-310, 1.0, 2.0], [3.0, 1.0, 0.5, 0.5], [np.nan] * 4)
+_STEEP = RetardanceCurve([0.0, 5e-310, 1.0, 2.0], [3.0, 1.0, 0.5, 0.25], [np.nan] * 4)
 _INTERP_CURVES = {**_LOOKUP_CURVES, "steep": _STEEP}
 
 
@@ -504,6 +488,97 @@ def test_boundary_visits_alternate(values):
         assert first != second and b < a
 
 
+# --- the falling fit of built curves -----------------------------------------------
+
+@st.composite
+def profile_sweeps(draw):
+    """Sweeps of the conftest profile on 150 to 1,600 points, with up to
+    3 % detector noise and some error bars set to zero."""
+    n = draw(st.integers(150, 1600))
+    sweep = sweep_from_profile(np.linspace(0.1, 16.0, n), pd_sigma=draw(st.floats(0.0, 0.03)),
+                               n_repeats=draw(st.integers(1, 10)),
+                               seed=draw(st.integers(0, 2**32 - 1)))
+    zero = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n) < draw(
+        st.sampled_from([0.0, 0.1, 1.0]))
+    return CharacterizationSweep(sweep.drive_voltages, sweep.mean_pd_voltages,
+                                 np.where(zero, 0.0, sweep.pd_voltage_sems),
+                                 sweep.background_voltage, sweep.background_sem)
+
+
+@settings(deadline=None, max_examples=60)
+@given(sweep=profile_sweeps())
+def test_built_curves_fall_strictly_and_keep_every_knot(sweep):
+    try:
+        curve = build_curve(sweep)
+    except (CalibrationError, UnwrapAmbiguityError):  # a sweep build_curve refuses
+        assume(False)
+    assert np.all(np.diff(curve.retardances) < 0.0)
+    assert len(curve) == len(sweep)
+
+
+_ERROR_BARS = st.one_of(st.just(math.nan), st.just(0.0), st.just(5e-324),
+                        st.floats(0.0, allow_nan=False))
+
+
+@given(data=st.data())
+def test_falling_fit_returns_a_strictly_falling_input_bit_for_bit(data):
+    n = data.draw(st.integers(2, 40))
+    y = _falling(data.draw, n, st.floats(-1e6, 1e6))
+    errors = np.array(data.draw(st.lists(_ERROR_BARS, min_size=n, max_size=n)))
+    assert _falling_fit(y, errors).tobytes() == y.tobytes()
+
+
+@given(y=st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=1, max_size=60),
+       data=st.data())
+def test_each_pooled_block_takes_its_weighted_mean(y, data):
+    """The blocks fall strictly and each holds its knots' weighted mean,
+    and no leading part of a block has a higher mean than the whole: the
+    least-squares non-increasing fit."""
+    w = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(y), max_size=len(y)))
+    values, sizes = _pool_adjacent_violators(np.array(y), np.array(w))
+    assert sum(sizes) == len(y) and all(a > b for a, b in zip(values, values[1:]))
+    start = 0
+    for value, size in zip(values, sizes):
+        ys, ws = y[start : start + size], w[start : start + size]
+        tol = 1e-12 * max(abs(x) for x in ys)
+        mean = math.fsum(a * b for a, b in zip(ys, ws)) / math.fsum(ws)
+        assert abs(value - mean) <= tol
+        for k in range(1, size):
+            head = math.fsum(a * b for a, b in zip(ys[:k], ws[:k])) / math.fsum(ws[:k])
+            assert head <= mean + tol
+        start += size
+
+
+@example(errors=[math.nan] * 5)
+@example(errors=[0.0] * 5)
+@given(errors=st.lists(_ERROR_BARS, min_size=2, max_size=30))
+def test_missing_error_bars_raise_no_warning(errors):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:  # a wavy sequence, so blocks pool
+            fit = _falling_fit(np.sin(np.arange(len(errors))), np.array(errors))
+        except CalibrationError:  # the fit is one flat block
+            return
+    assert np.all(np.diff(fit) < 0.0)
+
+
+@pytest.mark.parametrize("errors, mean", [
+    ([math.nan, 0.5, 0.25, 1.0], 1.5),
+    ([0.0, 0.5, 0.25, 1.0], 1.5),
+    ([0.25, 0.5, 0.25, 1.0], 1.2),
+    ([math.nan] * 4, 1.5),
+    ([0.0] * 4, 1.5),
+])
+def test_a_missing_error_bar_takes_the_median_weight(errors, mean):
+    # Knots 0 and 1 rise, so they pool.  Past knot 0 the weights are 4, 16
+    # and 1: a NaN or zero error bar at knot 0 weighs their median, 4, as
+    # knot 1 does, and an error bar of 0.25 weighs 16.  With none finite,
+    # every knot weighs the same.
+    fit = _falling_fit(np.array([1.0, 2.0, 0.0, -1.0]), np.array(errors))
+    assert fit[:2].mean() == pytest.approx(mean, rel=1e-15)
+    assert fit[2:].tolist() == [0.0, -1.0]
+
+
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
 
 
@@ -511,6 +586,14 @@ def _increasing(draw, n, lo, hi):
     """``n`` strictly increasing doubles drawn from ``[lo, hi]``."""
     xs = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n, unique=True))
     return np.sort(np.array(xs))
+
+
+def _falling(draw, n, elements):
+    """``n`` strictly falling doubles drawn from ``elements``; a zero among
+    them takes either sign."""
+    xs = np.sort(np.array(draw(st.lists(elements, min_size=n, max_size=n, unique=True))))[::-1]
+    xs[xs == 0.0] = draw(st.sampled_from([-0.0, 0.0]))
+    return xs
 
 
 @st.composite
@@ -530,7 +613,7 @@ def curves(draw):
     n = draw(st.integers(2, 30))
     return RetardanceCurve(
         drive_voltages=_increasing(draw, n, 0.0, 20.0),
-        retardances=draw(st.lists(_finite, min_size=n, max_size=n)),
+        retardances=_falling(draw, n, _finite),
         retardance_errors=draw(st.lists(st.one_of(st.just(math.nan), st.floats(0.0, 1.0)),
                                         min_size=n, max_size=n)),
         wavelength_nm=draw(st.one_of(st.none(), st.floats(400.0, 1600.0))),
@@ -613,7 +696,7 @@ def test_csv_round_trips_are_bit_identical(tmp_path_factory, data):
         drive, _columns(draw, n, _ANY_FINITE),
         np.abs(_columns(draw, n, _ANY_FINITE)), background_voltage=0.0)
     curve = RetardanceCurve(
-        drive, _columns(draw, n, _ANY_FINITE),
+        drive, _falling(draw, n, _ANY_FINITE),
         _columns(draw, n, st.one_of(st.just(math.nan), _ANY_FINITE)))
     scan = PolarimeterScan(np.linspace(0.0, 2 * math.pi, 16), _columns(draw, 16, _ANY_FINITE))
     for write, read, obj, names in [
