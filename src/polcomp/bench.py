@@ -283,7 +283,9 @@ def virtual_measure(
     this disturbance), and the resulting scan is analyzed exactly as a
     real one would be.  The scan takes :data:`DEFAULT_SCAN_SAMPLES`
     samples :data:`DEFAULT_SCAN_STEP` apart, with no mount offset and
-    unit detector gain.  ``seed`` seeds the scan noise as in
+    unit detector gain, so it lies on one grid and
+    :func:`~polcomp.polarimetry.measure_stokes` takes its sums from the
+    grid's cached basis.  ``seed`` seeds the scan noise as in
     :func:`~polcomp.polarimetry.simulate_scan`: an integer derives the
     scan's own generator, a ``Generator`` is drawn from directly.
     """

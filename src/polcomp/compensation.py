@@ -16,7 +16,9 @@ sphere about S1, then S2, then S1: an Euler-angle chart of SO(3), so the
 exact solutions form a family with one free angle.  The family is
 enumerated on a fixed grid of that angle, each row is shifted by whole
 waves into what its cells' calibration curves reach, and every row is
-looked up on the curves at once, one array lookup per cell.  The
+looked up on the curves at once, one array lookup per cell.  One cell's
+row is the grid itself whatever the states, so its placement, lookup and
+slopes are computed once per curve; a solve looks up the other two.  The
 reachable row on the steepest parts of the curves is actuated, where a
 small voltage change still turns the sphere for the fine step.  The loop
 draws no random numbers of its own.
@@ -73,6 +75,15 @@ _FAMILY_TURN = np.array([
     [np.sin(_FAMILY_GRID), np.cos(_FAMILY_GRID)],
 ])
 
+#: Fixed rows of the family placed on a curve, keyed by
+#: ``(id(curve), sign)``: the voltages, gaps and slopes of ``sign *
+#: _FAMILY_GRID`` (both halves).  Each entry holds its curve, so its id is
+#: not reused while it is cached, and a curve's arrays are read-only, so an
+#: entry never goes stale.
+_FIXED_ROWS: dict[tuple[int, float], tuple] = {}
+#: Entries kept in :data:`_FIXED_ROWS`; the oldest goes first.
+_FIXED_ROWS_MAX = 16
+
 MeasurementProvider = Callable[[Sequence[float]], NormalizedStokes]
 """Applies the given drive voltages and returns one measured state."""
 
@@ -111,6 +122,13 @@ def infer_disturbed(s_meas: NormalizedStokes, current: Sequence[float]) -> Norma
     return _unrotate(_triple_rows(*current), s_meas)
 
 
+def _takes_inverse(u: Sequence[float], t: Sequence[float]) -> bool:
+    """Whether :func:`_solution_family` solves ``t -> u`` instead of ``u -> t``."""
+    u1, u2, u3 = u
+    t1, t2, t3 = t
+    return min(u1 * u1, t2 * t2 + t3 * t3) < min(t1 * t1, u2 * u2 + u3 * u3)
+
+
 def _solution_family(u: Sequence[float], t: Sequence[float]) -> np.ndarray:
     """Every exact ``(d1, d2, d3)`` on the free-angle grid, shape ``(2N, 3)``.
 
@@ -131,11 +149,11 @@ def _solution_family(u: Sequence[float], t: Sequence[float]) -> np.ndarray:
     with ``min(t1^2, |u_perp|^2)`` makes that choice agree with both tests
     wherever rounding could make them disagree.
     """
+    if _takes_inverse(u, t):
+        return -_solution_family(t, u)[:, ::-1]
     u1, u2, u3 = u
     t1, t2, t3 = t
     perp_sq = t2 * t2 + t3 * t3
-    if min(u1 * u1, perp_sq) < min(t1 * t1, u2 * u2 + u3 * u3):
-        return -_solution_family(t, u)[:, ::-1]
     a2, a3 = _FAMILY_TURN[0] * u2 + _FAMILY_TURN[1] * u3
     r_sq = u1 * u1 + a3 * a3
     w_sq = np.where(r_sq > perp_sq, perp_sq - a2 * a2, r_sq - t1 * t1)
@@ -149,6 +167,38 @@ def _solution_family(u: Sequence[float], t: Sequence[float]) -> np.ndarray:
     np.subtract(np.arctan2(b3, t1), np.arctan2(a3, u1), out=cells[1])
     np.subtract(np.arctan2(b3, a2), math.atan2(t3, t2), out=cells[2])
     return cells.reshape(3, -1).T
+
+
+def _placed(rows: np.ndarray, cells: Sequence[RetardanceCurve]) -> tuple[np.ndarray, np.ndarray]:
+    """``rows``, one per cell, shifted by whole waves into the lowest wave
+    each cell's curve reaches, and each component's gap: how far it lies
+    outside its span in the nearer wave (at most 0 when reached)."""
+    spans = np.array([c.retardance_span for c in cells])
+    lows, highs = spans[:, :1], spans[:, 1:]
+    two_pi = 2.0 * math.pi
+    rows = lows + np.mod(rows - lows, two_pi)
+    over = rows - highs
+    under = lows + two_pi - rows
+    # Past the top of a span: take whichever wave lies nearer to it.
+    np.subtract(rows, two_pi, out=rows, where=over > under)
+    return rows, np.minimum(over, under)
+
+
+def _fixed_row(curve: RetardanceCurve, sign: float) -> tuple[np.ndarray, ...]:
+    """Voltages, gaps and slopes of the family row ``sign * _FAMILY_GRID``
+    on ``curve``, placed once per curve and sign (:data:`_FIXED_ROWS`)."""
+    key = (id(curve), sign)
+    entry = _FIXED_ROWS.get(key)
+    if entry is None:
+        rows, gaps = _placed(sign * np.tile(_FAMILY_GRID, (1, 2)), [curve])
+        volts = voltage_for_retardance(curve, rows[0])
+        entry = (curve, volts, gaps[0], curve_slope_at(curve, volts))
+        for arr in entry[1:]:
+            arr.flags.writeable = False
+        if len(_FIXED_ROWS) >= _FIXED_ROWS_MAX:
+            del _FIXED_ROWS[next(iter(_FIXED_ROWS))]
+        _FIXED_ROWS[key] = entry
+    return entry[1:]
 
 
 def solve_retardances(
@@ -168,31 +218,39 @@ def solve_retardances(
     turns and leaves the step to the others.  If no row is reachable, the
     one least outside the spans is picked, and its lookup clamps each
     out-of-span component to the end voltage.
+
+    One cell's row is the free-angle grid itself, whatever the states:
+    cell 1's, or cell 3's negated when the family is solved inverse.  Its
+    placement, lookup and slopes are computed once per curve and reused.
     """
-    family = _solution_family(
-        (s_dis.u1, s_dis.u2, s_dis.u3), (s_target.u1, s_target.u2, s_target.u3)
-    )
+    u = (s_dis.u1, s_dis.u2, s_dis.u3)
+    t = (s_target.u1, s_target.u2, s_target.u3)
+    family = _solution_family(u, t)
     cells = curves[:3]
-    # One contiguous row of the family per cell, for the shift, lookup and slope.
-    rows = np.ascontiguousarray(family.T)
-    spans = np.array([c.retardance_span for c in cells])
-    lows, highs = spans[:, :1], spans[:, 1:]
-    two_pi = 2.0 * math.pi
-    rows = lows + np.mod(rows - lows, two_pi)
-    over = rows - highs
-    under = lows + two_pi - rows
-    # Past the top of a span: take whichever wave lies nearer to it.
-    np.subtract(rows, two_pi, out=rows, where=over > under)
-    volts = [voltage_for_retardance(c, row) for c, row in zip(cells, rows)]
+    if _takes_inverse(u, t):
+        fixed, sign, varying = 2, -1.0, slice(0, 2)
+    else:
+        fixed, sign, varying = 0, 1.0, slice(1, 3)
+
+    def in_cell_order(fixed_row, varying_rows):
+        rows = list(varying_rows)
+        rows.insert(fixed, fixed_row)
+        return rows
+
+    fixed_volts, fixed_gap, fixed_slopes = _fixed_row(cells[fixed], sign)
+    rows, gaps = _placed(family.T[varying], cells[varying])
+    varying_volts = [voltage_for_retardance(c, row) for c, row in zip(cells[varying], rows)]
+    volts = in_cell_order(fixed_volts, varying_volts)
     # A component is reached when it lies in its span in either wave.
-    gap = np.minimum(over, under)
-    reachable = gap.max(axis=0) <= 0.0
+    reachable = np.maximum(gaps.max(axis=0), fixed_gap) <= 0.0
     if reachable.any():
-        slopes = [curve_slope_at(c, v) for c, v in zip(cells, volts)]
+        slopes = in_cell_order(
+            fixed_slopes, [curve_slope_at(c, v) for c, v in zip(cells[varying], varying_volts)]
+        )
         steepness = slopes[0] + slopes[1] + slopes[2]
         pick = int(np.where(reachable, steepness, -np.inf).argmax())
     else:
-        gap = np.maximum(gap, 0.0)
+        gap = in_cell_order(np.maximum(fixed_gap, 0.0), np.maximum(gaps, 0.0))
         pick = int(np.argmin(gap[0] + gap[1] + gap[2]))
     return tuple(float(v[pick]) for v in volts)
 

@@ -15,13 +15,23 @@ background is subtracted sample-wise and a known mount offset ``alpha``
 is subtracted from the recorded angles before the trigonometric
 weights are formed.  Gain drops out entirely once the estimate is
 normalized by its polarized magnitude.
+
+A scan made by :func:`simulate_scan` lies on a fixed grid ``n * step``
+turned by one angle, its mount offset plus its drift.  Its sums come
+from one product with the grid's cached basis, turned through that
+angle by the angle-addition formulas, instead of ``sin`` and ``cos`` of
+every sample.  Those sums hold only for the grid's own angles, so the
+scan's ``angles`` array is read-only.  A scan whose ``angles`` were
+reassigned or made writable, as a copy's are, takes the trigonometric
+sums, as does every scan read from a file or built by hand.  The two
+agree to rounding.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -69,6 +79,9 @@ class PolarimeterScan:
     voltages: np.ndarray
     background_voltage: float = 0.0
     offset_alpha: float = 0.0
+    #: Set by :func:`simulate_scan` only: ``(angles, basis, alpha + drift)``
+    #: of the grid the scan was drawn on.
+    _grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.angles = np.asarray(self.angles, dtype=float).copy()
@@ -126,11 +139,13 @@ def _intensity_array(s: StokesVector, s2, c2c2, s2c2, gain: float = 1.0):
 @lru_cache(maxsize=8)
 def _scan_grid(n_samples: int, step: float) -> tuple[np.ndarray, ...]:
     """Wave-plate angles ``n * step`` with their ``sin(2 phi)``,
-    ``cos^2(2 phi)`` and ``sin(2 phi) cos(2 phi)``: computed once per grid
-    and shared, so read-only."""
+    ``cos^2(2 phi)`` and ``sin(2 phi) cos(2 phi)``, and the 5 x n basis
+    ``(1, sin 2phi, cos 2phi, cos 4phi, sin 4phi)`` of the Fourier sums:
+    computed once per grid and shared, so read-only."""
     phi = np.arange(n_samples) * step
     s2, c2 = np.sin(2.0 * phi), np.cos(2.0 * phi)
-    grid = (phi, s2, c2 * c2, s2 * c2)
+    basis = np.stack((np.ones(n_samples), s2, c2, np.cos(4.0 * phi), np.sin(4.0 * phi)))
+    grid = (phi, s2, c2 * c2, s2 * c2, basis)
     for arr in grid:
         arr.flags.writeable = False
     return grid
@@ -170,6 +185,11 @@ def simulate_scan(
     With ``noise=None`` (or an all-zero model) the scan is exact and the
     seed is irrelevant.
 
+    The scan records its grid and the turn ``alpha + drift``, and its
+    ``angles`` array is read-only: while ``scan.angles`` is still that
+    read-only array, :func:`extract_coefficients` takes its sums from the
+    grid.
+
     ``seed`` is an integer, from which the scan derives a generator of
     its own (tagged, so no other consumer of the same integer shares its
     bits), or a ``numpy.random.Generator`` that the scan draws from
@@ -191,7 +211,7 @@ def simulate_scan(
     if not (math.isfinite(gain) and gain > 0.0):
         raise ValueError(f"gain must be positive, got {gain!r}")
 
-    phi, s2, c2c2, s2c2 = _scan_grid(n_samples, step)
+    phi, s2, c2c2, s2c2, basis = _scan_grid(n_samples, step)
     volts = _intensity_array(s_in, s2, c2c2, s2c2, gain)
 
     background = 0.0
@@ -208,12 +228,15 @@ def simulate_scan(
         if noise.angle_jitter_sigma > 0.0:
             drift = float(rng.normal(0.0, noise.angle_jitter_sigma))
 
-    return PolarimeterScan(
+    scan = PolarimeterScan(
         angles=phi + alpha + drift,
         voltages=volts,
         background_voltage=background,
         offset_alpha=alpha,
     )
+    scan.angles.flags.writeable = False
+    scan._grid = (scan.angles, basis, alpha + drift)
+    return scan
 
 
 def extract_coefficients(scan: PolarimeterScan) -> FourierCoefficients:
@@ -221,11 +244,30 @@ def extract_coefficients(scan: PolarimeterScan) -> FourierCoefficients:
 
     On a uniform grid covering exactly one revolution these sums are exact
     for the truncated series (discrete orthogonality); on jittered angles
-    they remain the standard estimator.
+    they remain the standard estimator.  A scan from :func:`simulate_scan`
+    whose ``angles`` are still its grid's takes them from the grid's cached
+    basis, turned by the scan's one offset; any other scan takes ``sin``
+    and ``cos`` of its angles.
     """
     v = scan.voltages - scan.background_voltage
-    th2 = 2.0 * (scan.angles - scan.offset_alpha)
     n = v.size
+    grid = scan._grid
+    # A copy or an unpickled scan keeps the record, but its angles are writable.
+    if grid is not None and grid[0] is scan.angles and not scan.angles.flags.writeable:
+        # The angles are the grid turned by d: the sums over 2(phi + d) and
+        # 4(phi + d) follow from the grid's by the angle-addition formulas.
+        _, basis, offset = grid
+        m0, m_s2, m_c2, m_c4, m_s4 = (basis @ v).tolist()
+        d = offset - scan.offset_alpha
+        s2d, c2d = math.sin(2.0 * d), math.cos(2.0 * d)
+        s4d, c4d = math.sin(4.0 * d), math.cos(4.0 * d)
+        return FourierCoefficients(
+            2.0 / n * m0,
+            4.0 / n * (m_s2 * c2d + m_c2 * s2d),
+            4.0 / n * (m_c4 * c4d - m_s4 * s4d),
+            4.0 / n * (m_s4 * c4d + m_c4 * s4d),
+        )
+    th2 = 2.0 * (scan.angles - scan.offset_alpha)
     s, c = np.sin(th2), np.cos(th2)
     a0 = 2.0 / n * float(v.sum())
     b0 = 4.0 / n * float((v * s).sum())

@@ -403,9 +403,9 @@ def test_decisions_are_pinned(config, digest):
 
 
 @pytest.mark.parametrize("config, digest", zip(_PINNED_CONFIGS, [
-    "5f89e40357249699ec6b052e3d2b44cbb99ec2f98c335e13fc3edb0bccf7a20e",
-    "a0797fe022feec7befa4c8e31057de4cfc65b8e8a4f68374fad1c2be0d7583af",
-    "829e8e95a6c01e50181a8b1fa5c1187089d87188cce557fa8f9022fba15df17f",
+    "af8d8d26fdef3e0d84dd96f8ea17bc954758039c32e5a2c7c933e21c7c8bba20",
+    "f545d0c0370467b52290ac8878584b4503249fda477a71ce470c5c51827e3767",
+    "b84aca9dbadf9c1dad09438bd77056c33241b9b398bb531dd07dd49819913563",
 ]), ids=_PINNED_IDS)
 def test_full_transcripts_are_pinned(config, digest):
     # Bits: every recorded float at full precision.  A bit-identical change

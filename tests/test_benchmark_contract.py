@@ -43,6 +43,25 @@ def test_loop_workload_checks_find_nothing_wrong():
         assert rec.readings > 0
 
 
+def test_traced_loop_reads_once_per_recorded_reading():
+    # The traced run's calls_match_readings checks: every recorded reading
+    # is one virtual_measure call and one measure_stokes call, nothing more.
+    spans, workloads = _load("spans"), _load("workloads")
+    trials = workloads.LoopTrials(NoiseModel.lab(), pool=20)
+    batch = trials.prepare(2)
+    tracer = spans.Tracer()
+    op = tracer.wrap_op(trials.run)
+    tracer.install()
+    try:
+        raws = [op(batch, k) for k in range(trials.pool)]
+    finally:
+        tracer.restore()
+    readings = [trials.check(batch, k, raw).readings for k, raw in enumerate(raws)]
+    assert min(readings) > 0
+    for span in ("bench.virtual_measure", "polarimetry.measure_stokes"):
+        assert tracer.calls_per_op(span, trials.pool).tolist() == readings, span
+
+
 def test_calibrate_files_workload_finds_nothing_wrong(tmp_path):
     workloads = _load("workloads")
     cycles = workloads.CalibrateFiles(tmp_path)

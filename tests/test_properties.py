@@ -3,6 +3,7 @@ retarder inversion, the 3-vector rotations against the 4x4 algebra, the
 scan estimator, unwrapping and the file formats, checked over generated
 inputs."""
 
+import copy
 import math
 import warnings
 
@@ -14,10 +15,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import profile, rescaled_curve_set, sweep_from_profile
+from polcomp import compensation
 from polcomp.bench import (
     NoiseModel,
     VirtualApparatus,
     random_disturbance,
+    simulate_characterization_sweep,
     synthetic_curve_set,
     synthetic_retardance_curve,
 )
@@ -47,7 +50,7 @@ from polcomp.lcvr import (
     unwrap_retardance,
     voltage_for_retardance,
 )
-from polcomp.polarimetry import PolarimeterScan, extract_coefficients
+from polcomp.polarimetry import PolarimeterScan, extract_coefficients, simulate_scan
 from polcomp.stokes import (
     NormalizedStokes,
     StokesVector,
@@ -195,6 +198,87 @@ def test_solve_voltages_match_two_step_reference(name, u, t):
     curves = _SOLVE_CURVES[name]
     got = solve_retardances(NormalizedStokes(*u), NormalizedStokes(*t), curves)
     assert got == _reference_solve(u, t, curves)
+
+
+def _uncached_solve(s_dis, s_target, curves):
+    """The solve with all three family rows placed, looked up and sloped
+    afresh on every call: the voltages the cached fixed row must give."""
+    family = _solution_family(
+        (s_dis.u1, s_dis.u2, s_dis.u3), (s_target.u1, s_target.u2, s_target.u3)
+    )
+    cells = curves[:3]
+    rows = np.ascontiguousarray(family.T)
+    spans = np.array([c.retardance_span for c in cells])
+    lows, highs = spans[:, :1], spans[:, 1:]
+    two_pi = 2.0 * math.pi
+    rows = lows + np.mod(rows - lows, two_pi)
+    over = rows - highs
+    under = lows + two_pi - rows
+    np.subtract(rows, two_pi, out=rows, where=over > under)
+    volts = [voltage_for_retardance(c, row) for c, row in zip(cells, rows)]
+    gap = np.minimum(over, under)
+    reachable = gap.max(axis=0) <= 0.0
+    if reachable.any():
+        slopes = [curve_slope_at(c, v) for c, v in zip(cells, volts)]
+        steepness = slopes[0] + slopes[1] + slopes[2]
+        pick = int(np.where(reachable, steepness, -np.inf).argmax())
+    else:
+        gap = np.maximum(gap, 0.0)
+        pick = int(np.argmin(gap[0] + gap[1] + gap[2]))
+    return tuple(float(v[pick]) for v in volts)
+
+
+def _lab_built_curves(n, first_seed):
+    """One curve per cell built from one lab-noise sweep of its synthetic curve."""
+    pd_sigma = NoiseModel.lab().pd_sigma
+    return [
+        build_curve(simulate_characterization_sweep(
+            c.drive_voltages, lambda v, c=c: np.interp(v, c.drive_voltages, c.retardances),
+            pd_sigma=pd_sigma, seed=first_seed + k))
+        for k, c in enumerate(synthetic_curve_set(n))
+    ]
+
+
+# Curve sets the fixed-row cache must keep apart.  The lab-built curves
+# span more than a wave, so every state has a reachable row on them; the
+# narrow spans make the solve take its fallback pick.
+_CACHE_CURVES = [
+    synthetic_curve_set(3),
+    synthetic_curve_set(4),
+    _lab_built_curves(3, 100),
+    _lab_built_curves(4, 200),
+    rescaled_curve_set(3, 0.1 * math.pi, 0.2 * math.pi),
+]
+# H and V as source or target take the inverse branch of the family.
+_POLES_OR_ANY = st.one_of(st.sampled_from([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]), unit_vectors)
+
+
+@settings(deadline=None)
+@given(pairs=st.lists(st.tuples(_POLES_OR_ANY, _POLES_OR_ANY), min_size=1, max_size=4),
+       sets=st.tuples(*[st.integers(0, len(_CACHE_CURVES) - 1)] * 2))
+def test_solve_with_cached_fixed_row_is_bit_identical(pairs, sets):
+    # Alternate two curve sets state by state: a fixed row cached for one
+    # set must never answer for the other.
+    for u, t in pairs:
+        s_dis, s_target = NormalizedStokes(*u), NormalizedStokes(*t)
+        for curves in (_CACHE_CURVES[sets[0]], _CACHE_CURVES[sets[1]]):
+            got = solve_retardances(s_dis, s_target, curves)
+            assert got == _uncached_solve(s_dis, s_target, curves)
+
+
+def test_fixed_row_cache_stays_bounded_over_fresh_curves():
+    # 1,000 fresh curve sets of random spans, some too narrow to reach:
+    # each is solved once in each branch, the cache never grows past its
+    # bound, and no entry answers for a curve that has since been freed.
+    rng = np.random.default_rng(24)
+    s_dis, other = NormalizedStokes(0.6, 0.0, 0.8), NormalizedStokes(0.0, 0.6, -0.8)
+    for _ in range(1000):
+        lo = rng.uniform(0.05, 1.0) * math.pi
+        curves = rescaled_curve_set(3, lo, lo + rng.uniform(0.1, 2.5) * math.pi)
+        for target in (other, cardinal_target("H")):
+            got = solve_retardances(s_dis, target, curves)
+            assert got == _uncached_solve(s_dis, target, curves)
+        assert len(compensation._FIXED_ROWS) <= compensation._FIXED_ROWS_MAX
 
 
 # --- array lookups against the scalar reference -------------------------------------
@@ -429,6 +513,65 @@ def test_extract_coefficients_matches_three_trig_reference(scan):
     np.testing.assert_allclose(
         (c.a0, c.b0, c.c0, c.d0), _three_trig_coefficients(scan), rtol=0, atol=1e-14
     )
+
+
+def _trig_sums(scan):
+    """The Fourier sums from ``sin`` and ``cos`` of the scan's own angles,
+    operation for operation as :func:`extract_coefficients` takes them for
+    any scan not drawn on a cached grid."""
+    v = scan.voltages - scan.background_voltage
+    th2 = 2.0 * (scan.angles - scan.offset_alpha)
+    n = v.size
+    s, c = np.sin(th2), np.cos(th2)
+    return (
+        2.0 / n * float(v.sum()),
+        4.0 / n * float((v * s).sum()),
+        4.0 / n * float((v * (c * c - s * s)).sum()),
+        8.0 / n * float((v * (s * c)).sum()),
+    )
+
+
+@st.composite
+def simulated_scans(draw):
+    """Noisy scans of a random pure state: ``n`` samples a step apart that
+    covers one revolution, a mount offset, a background and a drift of at
+    most 0.1 rad."""
+    n = draw(st.integers(16, 400))
+    step = 2.0 * math.pi / n * draw(st.floats(1.0, 1.05))
+    noise = NoiseModel(pd_sigma=0.005, background_v=draw(st.floats(0.0, 0.1)),
+                       angle_jitter_sigma=draw(st.floats(0.0, 0.05)))
+    scan = simulate_scan(StokesVector(1.0, *draw(unit_vectors)), n, step,
+                         alpha=draw(st.floats(-math.pi, math.pi)), noise=noise,
+                         seed=draw(st.integers(0, 2**32 - 1)))
+    assume(abs(scan.angles[0] - scan.offset_alpha) <= 0.1)
+    return scan
+
+
+@settings(deadline=None)
+@given(scan=simulated_scans())
+def test_simulated_scan_sums_match_three_trig_reference(scan):
+    c = extract_coefficients(scan)
+    np.testing.assert_allclose(
+        (c.a0, c.b0, c.c0, c.d0), _three_trig_coefficients(scan), rtol=0, atol=1e-13
+    )
+    # The grid sums hold only while the angles stay those of the grid.
+    with pytest.raises(ValueError, match="read-only"):
+        scan.angles[0] += 1e-3
+
+
+@settings(deadline=None)
+@given(scan=simulated_scans())
+def test_other_scans_keep_the_trig_sums(tmp_path_factory, scan):
+    # Read back from its file, deep-copied (whose angles are writable), or
+    # given new angles: the scan is no longer the grid's.
+    path = tmp_path_factory.mktemp("scan") / "scan.csv"
+    write_scan(path, scan)
+    back, twin = read_scan(path), copy.deepcopy(scan)
+    twin.angles[0] -= 1e-3
+    scan.angles = scan.angles.copy()
+    for other in (back, twin, scan):
+        c = extract_coefficients(other)
+        assert (c.a0, c.b0, c.c0, c.d0) == _trig_sums(other)
 
 
 def _near_a_branch_boundary(x):
