@@ -40,9 +40,10 @@ from .bench import (
 from .compensation import LoopConfig, run_compensation
 from .io import (
     FileFormatError,
-    _read_scan_and_metadata,
     read_curve,
     read_json_doc,
+    read_scan,
+    read_scan_metadata,
     read_sweep,
     write_curve,
     write_json_doc,
@@ -149,7 +150,8 @@ def cmd_tomography(args: argparse.Namespace) -> tuple[int, list[str]]:
     entries = []
     fidelities = []
     for f in files:
-        scan, meta = _read_scan_and_metadata(f)
+        scan = read_scan(f)
+        meta = read_scan_metadata(f)
         u = measure_stokes(scan)
         entry: dict = {"file": f.name, "stokes": [u.u1, u.u2, u.u3]}
         line = f"{f.name}: u = ({u.u1:+.6f}, {u.u2:+.6f}, {u.u3:+.6f})"

@@ -16,18 +16,19 @@ sphere about S1, then S2, then S1: an Euler-angle chart of SO(3), so the
 exact solutions form a family with one free angle.  The family is
 enumerated on a fixed grid of that angle, each row is shifted by whole
 waves into what its cells' calibration curves reach, and every row is
-looked up on the curves at once, one array lookup per cell.  One cell's
-row is the grid itself whatever the states, so its placement, lookup and
-slopes are computed once per curve; a solve looks up the other two.  The
-reachable row on the steepest parts of the curves is actuated, where a
-small voltage change still turns the sphere for the fine step.  The loop
-draws no random numbers of its own.
+looked up on the curves at once: one step per cell places its row,
+looks it up and takes its slopes.  One cell's row is the grid itself
+whatever the states, so that step is memoized per curve.  The reachable
+row on the steepest parts of the curves is actuated, where a small
+voltage change still turns the sphere for the fine step.  The loop draws
+no random numbers of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,15 +75,6 @@ _FAMILY_TURN = np.array([
     [np.cos(_FAMILY_GRID), -np.sin(_FAMILY_GRID)],
     [np.sin(_FAMILY_GRID), np.cos(_FAMILY_GRID)],
 ])
-
-#: Fixed rows of the family placed on a curve, keyed by
-#: ``(id(curve), sign)``: the voltages, gaps and slopes of ``sign *
-#: _FAMILY_GRID`` (both halves).  Each entry holds its curve, so its id is
-#: not reused while it is cached, and a curve's arrays are read-only, so an
-#: entry never goes stale.
-_FIXED_ROWS: dict[tuple[int, float], tuple] = {}
-#: Entries kept in :data:`_FIXED_ROWS`; the oldest goes first.
-_FIXED_ROWS_MAX = 16
 
 MeasurementProvider = Callable[[Sequence[float]], NormalizedStokes]
 """Applies the given drive voltages and returns one measured state."""
@@ -169,36 +161,31 @@ def _solution_family(u: Sequence[float], t: Sequence[float]) -> np.ndarray:
     return cells.reshape(3, -1).T
 
 
-def _placed(rows: np.ndarray, cells: Sequence[RetardanceCurve]) -> tuple[np.ndarray, np.ndarray]:
-    """``rows``, one per cell, shifted by whole waves into the lowest wave
-    each cell's curve reaches, and each component's gap: how far it lies
-    outside its span in the nearer wave (at most 0 when reached)."""
-    spans = np.array([c.retardance_span for c in cells])
-    lows, highs = spans[:, :1], spans[:, 1:]
+def _placed(row: np.ndarray, curve: RetardanceCurve) -> tuple[np.ndarray, ...]:
+    """One cell's family ``row`` on its ``curve``: each component shifted by
+    whole waves into the lowest wave the curve reaches, then its voltages,
+    gaps and slopes.  A gap is how far the component lies outside the span
+    in the nearer wave (at most 0 when reached)."""
+    low, high = curve.retardance_span
     two_pi = 2.0 * math.pi
-    rows = lows + np.mod(rows - lows, two_pi)
-    over = rows - highs
-    under = lows + two_pi - rows
-    # Past the top of a span: take whichever wave lies nearer to it.
-    np.subtract(rows, two_pi, out=rows, where=over > under)
-    return rows, np.minimum(over, under)
+    row = low + np.mod(row - low, two_pi)
+    over = row - high
+    under = low + two_pi - row
+    # Past the top of the span: take whichever wave lies nearer to it.
+    np.subtract(row, two_pi, out=row, where=over > under)
+    volts = voltage_for_retardance(curve, row)
+    return volts, np.minimum(over, under), curve_slope_at(curve, volts)
 
 
+@lru_cache(maxsize=16)
 def _fixed_row(curve: RetardanceCurve, sign: float) -> tuple[np.ndarray, ...]:
-    """Voltages, gaps and slopes of the family row ``sign * _FAMILY_GRID``
-    on ``curve``, placed once per curve and sign (:data:`_FIXED_ROWS`)."""
-    key = (id(curve), sign)
-    entry = _FIXED_ROWS.get(key)
-    if entry is None:
-        rows, gaps = _placed(sign * np.tile(_FAMILY_GRID, (1, 2)), [curve])
-        volts = voltage_for_retardance(curve, rows[0])
-        entry = (curve, volts, gaps[0], curve_slope_at(curve, volts))
-        for arr in entry[1:]:
-            arr.flags.writeable = False
-        if len(_FIXED_ROWS) >= _FIXED_ROWS_MAX:
-            del _FIXED_ROWS[next(iter(_FIXED_ROWS))]
-        _FIXED_ROWS[key] = entry
-    return entry[1:]
+    """:func:`_placed` of the family row ``sign * _FAMILY_GRID`` (both
+    halves) on ``curve``, read-only.  A curve equals only itself and its
+    arrays are read-only, so a cached row never goes stale."""
+    placed = _placed(sign * np.tile(_FAMILY_GRID, 2), curve)
+    for arr in placed:
+        arr.flags.writeable = False
+    return placed
 
 
 def solve_retardances(
@@ -210,47 +197,34 @@ def solve_retardances(
     ``s_target`` through the stack.
 
     Every row of the closed-form family of retardances is exact.  Each
-    component is shifted by whole waves into the lowest wave its own
-    cell's curve reaches, and every row is looked up on the curves.
-    Among the rows that all three curves reach, the one on the steepest
-    summed curve slope wins.  The fine step turns the sphere through each
-    cell's slope, so a cell parked on the flat high-voltage tail barely
-    turns and leaves the step to the others.  If no row is reachable, the
-    one least outside the spans is picked, and its lookup clamps each
-    out-of-span component to the end voltage.
+    cell's component of every row is shifted by whole waves into the
+    lowest wave its own curve reaches, looked up and sloped, in one step
+    per cell (:func:`_placed`).  Among the rows that all three curves
+    reach, the one on the steepest summed curve slope wins.  The fine step
+    turns the sphere through each cell's slope, so a cell parked on the
+    flat high-voltage tail barely turns and leaves the step to the others.
+    If no row is reachable, the one least outside the spans is picked, and
+    its lookup clamps each out-of-span component to the end voltage.
 
     One cell's row is the free-angle grid itself, whatever the states:
     cell 1's, or cell 3's negated when the family is solved inverse.  Its
-    placement, lookup and slopes are computed once per curve and reused.
+    step comes from :func:`_fixed_row`.
     """
     u = (s_dis.u1, s_dis.u2, s_dis.u3)
     t = (s_target.u1, s_target.u2, s_target.u3)
     family = _solution_family(u, t)
-    cells = curves[:3]
-    if _takes_inverse(u, t):
-        fixed, sign, varying = 2, -1.0, slice(0, 2)
-    else:
-        fixed, sign, varying = 0, 1.0, slice(1, 3)
-
-    def in_cell_order(fixed_row, varying_rows):
-        rows = list(varying_rows)
-        rows.insert(fixed, fixed_row)
-        return rows
-
-    fixed_volts, fixed_gap, fixed_slopes = _fixed_row(cells[fixed], sign)
-    rows, gaps = _placed(family.T[varying], cells[varying])
-    varying_volts = [voltage_for_retardance(c, row) for c, row in zip(cells[varying], rows)]
-    volts = in_cell_order(fixed_volts, varying_volts)
+    fixed, sign = (2, -1.0) if _takes_inverse(u, t) else (0, 1.0)
+    volts, gaps, slopes = zip(*(
+        _fixed_row(curve, sign) if i == fixed else _placed(row, curve)
+        for i, (row, curve) in enumerate(zip(family.T, curves[:3]))
+    ))
     # A component is reached when it lies in its span in either wave.
-    reachable = np.maximum(gaps.max(axis=0), fixed_gap) <= 0.0
+    reachable = np.maximum(np.maximum(gaps[0], gaps[1]), gaps[2]) <= 0.0
     if reachable.any():
-        slopes = in_cell_order(
-            fixed_slopes, [curve_slope_at(c, v) for c, v in zip(cells[varying], varying_volts)]
-        )
         steepness = slopes[0] + slopes[1] + slopes[2]
         pick = int(np.where(reachable, steepness, -np.inf).argmax())
     else:
-        gap = in_cell_order(np.maximum(fixed_gap, 0.0), np.maximum(gaps, 0.0))
+        gap = [np.maximum(g, 0.0) for g in gaps]
         pick = int(np.argmin(gap[0] + gap[1] + gap[2]))
     return tuple(float(v[pick]) for v in volts)
 

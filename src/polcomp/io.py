@@ -20,8 +20,7 @@ Conventions
   half-written file; a failed write leaves no temporary file behind.
 * Every accepted CSV converts in one pass; :mod:`csv` splits only text
   holding a quote.  A refused file is scanned once more for its first
-  bad line and column.  A scan's sidecar is parsed once even when both
-  the scan and its metadata are wanted (``polcomp tomography``).
+  bad line and column.
 * Every file is read as UTF-8; a leading byte-order mark, as spreadsheet
   programs write, is dropped.  Writers write no mark.
 * Errors raise :class:`FileFormatError`.  A CSV parse error names the
@@ -273,45 +272,28 @@ def _sidecar_float(path: Path, meta: dict, key: str, default: float | None = Non
     return value
 
 
-def _scan_and_sidecar(path: Path) -> tuple[PolarimeterScan, Path, dict]:
-    """The scan at ``path``, its sidecar's path and the sidecar document."""
+def read_scan(path: str | os.PathLike) -> PolarimeterScan:
+    path = Path(path)
     data = _read_csv(path, SCAN_HEADER, nan_ok=(False, False))
     side, meta = _read_sidecar(path, required=True)
-    scan = _build(
+    return _build(
         path, PolarimeterScan,
         angles=np.radians(data[:, 0]), voltages=data[:, 1],
         background_voltage=_sidecar_float(side, meta, "background_voltage_v"),
         offset_alpha=math.radians(_sidecar_float(side, meta, "offset_alpha_deg")),
     )
-    return scan, side, meta
-
-
-def read_scan(path: str | os.PathLike) -> PolarimeterScan:
-    return _scan_and_sidecar(Path(path))[0]
 
 
 def read_scan_metadata(path: str | os.PathLike) -> dict:
     """Sidecar of a scan file, as a plain dict (empty if absent); a
     ``true_state`` must be a unit three-vector and comes back as floats."""
-    return _scan_metadata(*_read_sidecar(Path(path), required=False))
-
-
-def _scan_metadata(side: Path, meta: dict) -> dict:
-    """The scan sidecar document ``meta``, read from ``side``, with its
-    ``true_state`` checked and made floats."""
+    side, meta = _read_sidecar(Path(path), required=False)
     if "true_state" in meta:
         try:
             meta["true_state"] = _checked_true_state(meta["true_state"])
         except ValueError as exc:
             raise FileFormatError(f"{side}: sidecar {exc}") from None
     return meta
-
-
-def _read_scan_and_metadata(path: Path) -> tuple[PolarimeterScan, dict]:
-    """:func:`read_scan` and :func:`read_scan_metadata` of ``path``, from
-    one parse of its sidecar."""
-    scan, side, meta = _scan_and_sidecar(path)
-    return scan, _scan_metadata(side, meta)
 
 
 def write_sweep(path: str | os.PathLike, sweep: CharacterizationSweep) -> None:

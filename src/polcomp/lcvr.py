@@ -71,9 +71,12 @@ class UnwrapAmbiguityError(ValueError):
     """The folded sequence does not determine a unique continuous curve."""
 
 
-@dataclass
+@dataclass(eq=False)
 class CharacterizationSweep:
-    """Voltage sweep of one LCVR: drive RMS voltage vs mean PD voltage."""
+    """Voltage sweep of one LCVR: drive RMS voltage vs mean PD voltage.
+
+    A sweep equals only itself.
+    """
 
     drive_voltages: np.ndarray
     mean_pd_voltages: np.ndarray
@@ -110,7 +113,7 @@ class CharacterizationSweep:
         return int(self.drive_voltages.size)
 
 
-@dataclass
+@dataclass(eq=False)
 class RetardanceCurve:
     """Unwrapped retardance vs drive voltage for one cell.
 
@@ -122,6 +125,8 @@ class RetardanceCurve:
     constructed directly (e.g. synthetic ones) may leave it ``None``.  The
     three arrays are private read-only copies, so the lookup table a curve
     builds on its first lookup stays valid; new data makes a new curve.
+    A curve equals only itself and hashes by identity, so per-curve work
+    can be memoized on it.
     """
 
     drive_voltages: np.ndarray
@@ -191,7 +196,7 @@ class RetardanceCurve:
         return _LookupTable.build(self.drive_voltages, self.retardances)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LookupTable:
     """What every lookup on one curve needs, computed once per curve.
 

@@ -63,7 +63,7 @@ _TAG_SCAN = 0x5CA9
 _SPAN_SLACK_STEPS = 1.25
 
 
-@dataclass
+@dataclass(eq=False)
 class PolarimeterScan:
     """A full rotation worth of samples plus its calibration constants.
 
@@ -72,7 +72,7 @@ class PolarimeterScan:
     ``offset_alpha`` is the known angle of the wave-plate fast axis when
     the mount reads zero, and ``background_voltage`` is the detector
     reading with the beam blocked.  Both are subtracted during analysis,
-    never at acquisition time.
+    never at acquisition time.  A scan equals only itself.
     """
 
     angles: np.ndarray
@@ -81,7 +81,7 @@ class PolarimeterScan:
     offset_alpha: float = 0.0
     #: Set by :func:`simulate_scan` only: ``(angles, basis, alpha + drift)``
     #: of the grid the scan was drawn on.
-    _grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _grid: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.angles = np.asarray(self.angles, dtype=float).copy()

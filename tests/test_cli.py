@@ -8,7 +8,6 @@ import pytest
 
 from polcomp.bench import synthetic_curve_set
 from polcomp.cli import main, parse_target
-import polcomp.io
 from polcomp.io import sidecar_path, write_curve, write_scan, write_sweep
 from polcomp.polarimetry import simulate_scan
 from polcomp.stokes import CARDINAL_STOKES, cardinal_target
@@ -393,25 +392,6 @@ def test_non_finite_target_components_are_refused_by_text(text):
     with pytest.raises(ValueError) as exc:
         parse_target(text)
     assert str(exc.value) == f"target components must be finite, got {text!r}"
-
-
-def test_tomography_parses_each_sidecar_once(tmp_path, capsys, monkeypatch):
-    scans = tmp_path / "scans"
-    for name in ("H", "D", "R"):
-        u = cardinal_target(name)
-        write_scan(scans / f"{name}.csv", simulate_scan(CARDINAL_STOKES[name], 310, TWO_PI / 310),
-                   true_state=[u.u1, u.u2, u.u3])
-    parsed = []
-    read_json_doc = polcomp.io.read_json_doc
-
-    def counting(path):
-        parsed.append(path.name)
-        return read_json_doc(path)
-
-    monkeypatch.setattr(polcomp.io, "read_json_doc", counting)
-    assert main(["tomography", str(scans)]) == 0
-    assert sorted(parsed) == ["D.json", "H.json", "R.json"]
-    assert "mean fidelity over 3 scans" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])

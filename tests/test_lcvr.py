@@ -16,6 +16,7 @@ from polcomp.lcvr import (
     CharacterizationSweep,
     RetardanceCurve,
     UnwrapAmbiguityError,
+    _LookupTable,
     _unwrap_with_folds,
     build_curve,
     curve_slope_at,
@@ -25,6 +26,7 @@ from polcomp.lcvr import (
     unwrap_retardance,
     voltage_for_retardance,
 )
+from polcomp.polarimetry import PolarimeterScan
 
 from conftest import profile, voltage_at
 
@@ -357,6 +359,26 @@ def test_curve_built_from_another_looks_up_its_own_data():
     assert half.full_wave_voltage == voltage_for_retardance(base, 4.0 * math.pi)
     assert base.full_wave_voltage == voltage_for_retardance(base, 2.0 * math.pi)
     assert np.array_equal(voltage_for_retardance(base, targets), before)
+
+
+_V, _R = np.linspace(1.0, 6.0, 12), np.linspace(5.0, 1.0, 12)
+_RECORDS = {
+    "curve": lambda: RetardanceCurve(_V, _R, np.full(12, 0.01)),
+    "lookup-table": lambda: _LookupTable.build(_V, _R),
+    "sweep": lambda: CharacterizationSweep(_V, np.linspace(1.0, 0.0, 12), np.zeros(12), 0.0),
+    "scan": lambda: PolarimeterScan(np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False),
+                                    np.ones(40)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_RECORDS))
+def test_array_records_compare_by_identity(kind):
+    # Records holding arrays equal only themselves, so they hash and can
+    # key a cache; equal contents do not make two records equal.
+    a, b = _RECORDS[kind](), _RECORDS[kind]()
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
 
 
 def test_exact_half_wave_voltage_from_bisection():

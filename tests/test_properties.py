@@ -200,34 +200,6 @@ def test_solve_voltages_match_two_step_reference(name, u, t):
     assert got == _reference_solve(u, t, curves)
 
 
-def _uncached_solve(s_dis, s_target, curves):
-    """The solve with all three family rows placed, looked up and sloped
-    afresh on every call: the voltages the cached fixed row must give."""
-    family = _solution_family(
-        (s_dis.u1, s_dis.u2, s_dis.u3), (s_target.u1, s_target.u2, s_target.u3)
-    )
-    cells = curves[:3]
-    rows = np.ascontiguousarray(family.T)
-    spans = np.array([c.retardance_span for c in cells])
-    lows, highs = spans[:, :1], spans[:, 1:]
-    two_pi = 2.0 * math.pi
-    rows = lows + np.mod(rows - lows, two_pi)
-    over = rows - highs
-    under = lows + two_pi - rows
-    np.subtract(rows, two_pi, out=rows, where=over > under)
-    volts = [voltage_for_retardance(c, row) for c, row in zip(cells, rows)]
-    gap = np.minimum(over, under)
-    reachable = gap.max(axis=0) <= 0.0
-    if reachable.any():
-        slopes = [curve_slope_at(c, v) for c, v in zip(cells, volts)]
-        steepness = slopes[0] + slopes[1] + slopes[2]
-        pick = int(np.where(reachable, steepness, -np.inf).argmax())
-    else:
-        gap = np.maximum(gap, 0.0)
-        pick = int(np.argmin(gap[0] + gap[1] + gap[2]))
-    return tuple(float(v[pick]) for v in volts)
-
-
 def _lab_built_curves(n, first_seed):
     """One curve per cell built from one lab-noise sweep of its synthetic curve."""
     pd_sigma = NoiseModel.lab().pd_sigma
@@ -239,7 +211,7 @@ def _lab_built_curves(n, first_seed):
     ]
 
 
-# Curve sets the fixed-row cache must keep apart.  The lab-built curves
+# Curve sets the memoized fixed row must keep apart.  The lab-built curves
 # span more than a wave, so every state has a reachable row on them; the
 # narrow spans make the solve take its fallback pick.
 _CACHE_CURVES = [
@@ -263,22 +235,24 @@ def test_solve_with_cached_fixed_row_is_bit_identical(pairs, sets):
         s_dis, s_target = NormalizedStokes(*u), NormalizedStokes(*t)
         for curves in (_CACHE_CURVES[sets[0]], _CACHE_CURVES[sets[1]]):
             got = solve_retardances(s_dis, s_target, curves)
-            assert got == _uncached_solve(s_dis, s_target, curves)
+            assert got == _reference_solve(u, t, curves[:3])
 
 
 def test_fixed_row_cache_stays_bounded_over_fresh_curves():
     # 1,000 fresh curve sets of random spans, some too narrow to reach:
     # each is solved once in each branch, the cache never grows past its
-    # bound, and no entry answers for a curve that has since been freed.
+    # bound, and no entry answers for a curve it was not made for.
     rng = np.random.default_rng(24)
-    s_dis, other = NormalizedStokes(0.6, 0.0, 0.8), NormalizedStokes(0.0, 0.6, -0.8)
+    u = (0.6, 0.0, 0.8)
+    s_dis = NormalizedStokes(*u)
     for _ in range(1000):
         lo = rng.uniform(0.05, 1.0) * math.pi
         curves = rescaled_curve_set(3, lo, lo + rng.uniform(0.1, 2.5) * math.pi)
-        for target in (other, cardinal_target("H")):
-            got = solve_retardances(s_dis, target, curves)
-            assert got == _uncached_solve(s_dis, target, curves)
-        assert len(compensation._FIXED_ROWS) <= compensation._FIXED_ROWS_MAX
+        for t in ((0.0, 0.6, -0.8), (1.0, 0.0, 0.0)):
+            got = solve_retardances(s_dis, NormalizedStokes(*t), curves)
+            assert got == _reference_solve(u, t, curves[:3])
+        info = compensation._fixed_row.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 # --- array lookups against the scalar reference -------------------------------------
