@@ -6,8 +6,10 @@ polarization sphere), the four-cell retarder stack actuated through its
 calibration curves, and the rotating-wave-plate polarimeter.  The bench
 is deliberately imperfect in the same ways the hardware is — drive
 voltages quantize, each cell's true curve is biased against the
-calibration used to actuate it, and every scan carries detector noise
-and slow mount drift.
+calibration used to actuate it, and every reading's Fourier sums carry
+detector noise and slow mount drift.  Those sums are drawn from their
+exact distribution, which holds for the bench's scan (see
+:func:`virtual_measure`), instead of from simulated samples.
 
 All randomness flows from explicit integer seeds through
 ``numpy.random.SeedSequence``, each consumer keyed by the seed and a tag
@@ -34,7 +36,7 @@ from .compensation import (
     run_compensation,
 )
 from .lcvr import CharacterizationSweep, RetardanceCurve, retardance_for_voltage
-from .polarimetry import measure_stokes, simulate_scan
+from .polarimetry import _drawn_coefficients, _scan_rng, measure_stokes, simulate_scan  # noqa: F401
 from .stokes import (
     CARDINAL_STOKES,
     NormalizedStokes,
@@ -278,16 +280,16 @@ def virtual_measure(
 
     The light path is source -> disturbance -> cell 1 (0 deg) -> cell 2
     (45 deg) -> cell 3 (0 deg) [-> cell 4 (45 deg)] -> polarimeter.  The
-    requested drive voltages are quantized, mapped through each cell's
+    requested drive voltages are quantized and mapped through each cell's
     *true* curve (the calibration curve plus that cell's static bias for
-    this disturbance), and the resulting scan is analyzed exactly as a
-    real one would be.  The scan takes :data:`DEFAULT_SCAN_SAMPLES`
-    samples :data:`DEFAULT_SCAN_STEP` apart, with no mount offset and
-    unit detector gain, so it lies on one grid and
-    :func:`~polcomp.polarimetry.measure_stokes` takes its sums from the
-    grid's cached basis.  ``seed`` seeds the scan noise as in
-    :func:`~polcomp.polarimetry.simulate_scan`: an integer derives the
-    scan's own generator, a ``Generator`` is drawn from directly.
+    this disturbance).  The reading's scan would take
+    :data:`DEFAULT_SCAN_SAMPLES` samples :data:`DEFAULT_SCAN_STEP` apart,
+    one uniform revolution with i.i.d. Gaussian detector noise, one mount
+    drift, no mount offset and unit gain, so its Fourier sums are drawn
+    from their exact distribution instead
+    (:func:`~polcomp.polarimetry._drawn_coefficients`).  ``seed`` seeds
+    them as in :func:`~polcomp.polarimetry.simulate_scan`: an integer
+    derives the scan's own generator, a ``Generator`` is drawn from.
     """
     if len(compensator_voltages) != len(curves):
         raise ValueError(
@@ -304,8 +306,7 @@ def virtual_measure(
         delta = retardance_for_voltage(curve, v) + biases[i]
         s = _rotate(_lcvr_rows(_STACK_ANGLES[i], delta), s)
     s_out = StokesVector(true_source.s0, *s)
-    scan = simulate_scan(s_out, DEFAULT_SCAN_SAMPLES, DEFAULT_SCAN_STEP, noise=noise, seed=seed)
-    return measure_stokes(scan)
+    return measure_stokes(_drawn_coefficients(s_out, DEFAULT_SCAN_SAMPLES, noise, _scan_rng(seed)))
 
 
 @dataclass
@@ -313,7 +314,7 @@ class VirtualApparatus:
     """Callable measurement provider wrapping one disturbed link.
 
     The apparatus builds one generator from ``seed`` when it is made, and
-    each call draws its reading's scan noise from it, the same count of
+    each call draws its reading's noise from it, the same count of
     draws whatever the voltages.  A loop run against this apparatus is
     reproducible, successive measurements stay independent, and call
     ``k`` gives the same reading after any first ``k - 1`` calls.

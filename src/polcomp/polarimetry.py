@@ -15,23 +15,13 @@ background is subtracted sample-wise and a known mount offset ``alpha``
 is subtracted from the recorded angles before the trigonometric
 weights are formed.  Gain drops out entirely once the estimate is
 normalized by its polarized magnitude.
-
-A scan made by :func:`simulate_scan` lies on a fixed grid ``n * step``
-turned by one angle, its mount offset plus its drift.  Its sums come
-from one product with the grid's cached basis, turned through that
-angle by the angle-addition formulas, instead of ``sin`` and ``cos`` of
-every sample.  Those sums hold only for the grid's own angles, so the
-scan's ``angles`` array is read-only.  A scan whose ``angles`` were
-reassigned or made writable, as a copy's are, takes the trigonometric
-sums, as does every scan read from a file or built by hand.  The two
-agree to rounding.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -79,9 +69,6 @@ class PolarimeterScan:
     voltages: np.ndarray
     background_voltage: float = 0.0
     offset_alpha: float = 0.0
-    #: Set by :func:`simulate_scan` only: ``(angles, basis, alpha + drift)``
-    #: of the grid the scan was drawn on.
-    _grid: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.angles = np.asarray(self.angles, dtype=float).copy()
@@ -139,16 +126,21 @@ def _intensity_array(s: StokesVector, s2, c2c2, s2c2, gain: float = 1.0):
 @lru_cache(maxsize=8)
 def _scan_grid(n_samples: int, step: float) -> tuple[np.ndarray, ...]:
     """Wave-plate angles ``n * step`` with their ``sin(2 phi)``,
-    ``cos^2(2 phi)`` and ``sin(2 phi) cos(2 phi)``, and the 5 x n basis
-    ``(1, sin 2phi, cos 2phi, cos 4phi, sin 4phi)`` of the Fourier sums:
-    computed once per grid and shared, so read-only."""
+    ``cos^2(2 phi)`` and ``sin(2 phi) cos(2 phi)``: computed once per grid
+    and shared, so read-only."""
     phi = np.arange(n_samples) * step
     s2, c2 = np.sin(2.0 * phi), np.cos(2.0 * phi)
-    basis = np.stack((np.ones(n_samples), s2, c2, np.cos(4.0 * phi), np.sin(4.0 * phi)))
-    grid = (phi, s2, c2 * c2, s2 * c2, basis)
+    grid = (phi, s2, c2 * c2, s2 * c2)
     for arr in grid:
         arr.flags.writeable = False
     return grid
+
+
+def _scan_rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """``seed`` itself if a generator, else the scan's tagged stream of the integer."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _TAG_SCAN]))
 
 
 def ideal_intensity(s: StokesVector, phi: float) -> float:
@@ -185,11 +177,6 @@ def simulate_scan(
     With ``noise=None`` (or an all-zero model) the scan is exact and the
     seed is irrelevant.
 
-    The scan records its grid and the turn ``alpha + drift``, and its
-    ``angles`` array is read-only: while ``scan.angles`` is still that
-    read-only array, :func:`extract_coefficients` takes its sums from the
-    grid.
-
     ``seed`` is an integer, from which the scan derives a generator of
     its own (tagged, so no other consumer of the same integer shares its
     bits), or a ``numpy.random.Generator`` that the scan draws from
@@ -211,16 +198,13 @@ def simulate_scan(
     if not (math.isfinite(gain) and gain > 0.0):
         raise ValueError(f"gain must be positive, got {gain!r}")
 
-    phi, s2, c2c2, s2c2, basis = _scan_grid(n_samples, step)
+    phi, s2, c2c2, s2c2 = _scan_grid(n_samples, step)
     volts = _intensity_array(s_in, s2, c2c2, s2c2, gain)
 
     background = 0.0
     drift = 0.0
     if noise is not None:
-        if isinstance(seed, np.random.Generator):
-            rng = seed
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _TAG_SCAN]))
+        rng = _scan_rng(seed)
         background = float(noise.background_v)
         volts += background
         if noise.pd_sigma > 0.0:
@@ -228,15 +212,12 @@ def simulate_scan(
         if noise.angle_jitter_sigma > 0.0:
             drift = float(rng.normal(0.0, noise.angle_jitter_sigma))
 
-    scan = PolarimeterScan(
+    return PolarimeterScan(
         angles=phi + alpha + drift,
         voltages=volts,
         background_voltage=background,
         offset_alpha=alpha,
     )
-    scan.angles.flags.writeable = False
-    scan._grid = (scan.angles, basis, alpha + drift)
-    return scan
 
 
 def extract_coefficients(scan: PolarimeterScan) -> FourierCoefficients:
@@ -244,29 +225,10 @@ def extract_coefficients(scan: PolarimeterScan) -> FourierCoefficients:
 
     On a uniform grid covering exactly one revolution these sums are exact
     for the truncated series (discrete orthogonality); on jittered angles
-    they remain the standard estimator.  A scan from :func:`simulate_scan`
-    whose ``angles`` are still its grid's takes them from the grid's cached
-    basis, turned by the scan's one offset; any other scan takes ``sin``
-    and ``cos`` of its angles.
+    they remain the standard estimator.
     """
     v = scan.voltages - scan.background_voltage
     n = v.size
-    grid = scan._grid
-    # A copy or an unpickled scan keeps the record, but its angles are writable.
-    if grid is not None and grid[0] is scan.angles and not scan.angles.flags.writeable:
-        # The angles are the grid turned by d: the sums over 2(phi + d) and
-        # 4(phi + d) follow from the grid's by the angle-addition formulas.
-        _, basis, offset = grid
-        m0, m_s2, m_c2, m_c4, m_s4 = (basis @ v).tolist()
-        d = offset - scan.offset_alpha
-        s2d, c2d = math.sin(2.0 * d), math.cos(2.0 * d)
-        s4d, c4d = math.sin(4.0 * d), math.cos(4.0 * d)
-        return FourierCoefficients(
-            2.0 / n * m0,
-            4.0 / n * (m_s2 * c2d + m_c2 * s2d),
-            4.0 / n * (m_c4 * c4d - m_s4 * s4d),
-            4.0 / n * (m_s4 * c4d + m_c4 * s4d),
-        )
     th2 = 2.0 * (scan.angles - scan.offset_alpha)
     s, c = np.sin(th2), np.cos(th2)
     a0 = 2.0 / n * float(v.sum())
@@ -275,6 +237,42 @@ def extract_coefficients(scan: PolarimeterScan) -> FourierCoefficients:
     c0 = 4.0 / n * float((v * (c * c - s * s)).sum())
     d0 = 8.0 / n * float((v * (s * c)).sum())
     return FourierCoefficients(a0, b0, c0, d0)
+
+
+def _drawn_coefficients(
+    s: StokesVector, n_samples: int, noise: "NoiseModel", rng: np.random.Generator
+) -> FourierCoefficients:
+    """The sums :func:`extract_coefficients` takes of a scan of ``s`` from
+    :func:`simulate_scan`, drawn from their exact distribution, not sampled.
+
+    Exact for ``N = n_samples > 8`` angles on a uniform grid covering
+    exactly one revolution, i.i.d. Gaussian detector noise, one drift ``d``
+    per scan, no mount offset and unit gain: the sums are linear in the
+    voltages, with Gram matrix ``diag(N, N/2, N/2, N/2)`` whatever ``d``, so
+
+        a0 = S0 + S1/2                   + (2 sigma / sqrt N) z0
+        b0 = -S3 cos 2d                  + (2 sqrt2 sigma / sqrt N) z1
+        c0 = (S1 cos 4d - S2 sin 4d) / 2 + (2 sqrt2 sigma / sqrt N) z2
+        d0 = (S1 sin 4d + S2 cos 4d) / 2 + (2 sqrt2 sigma / sqrt N) z3
+
+    with independent standard normals ``z``; the background cancels.  Draws
+    the ``z`` (if ``pd_sigma > 0``), then ``d`` (if ``angle_jitter_sigma > 0``).
+    """
+    z0 = z1 = z2 = z3 = 0.0
+    if noise.pd_sigma > 0.0:
+        z0, z1, z2, z3 = rng.standard_normal(4).tolist()
+    d = 0.0
+    if noise.angle_jitter_sigma > 0.0:
+        d = float(rng.normal(0.0, noise.angle_jitter_sigma))
+    k0 = 2.0 * noise.pd_sigma / math.sqrt(n_samples)
+    k = math.sqrt(2.0) * k0
+    c4, s4 = math.cos(4.0 * d), math.sin(4.0 * d)
+    return FourierCoefficients(
+        s.s0 + 0.5 * s.s1 + k0 * z0,
+        -s.s3 * math.cos(2.0 * d) + k * z1,
+        0.5 * (s.s1 * c4 - s.s2 * s4) + k * z2,
+        0.5 * (s.s1 * s4 + s.s2 * c4) + k * z3,
+    )
 
 
 def stokes_from_coefficients(c: FourierCoefficients) -> StokesVector:
@@ -287,14 +285,14 @@ def stokes_from_coefficients(c: FourierCoefficients) -> StokesVector:
     return StokesVector(c.a0 - c.c0, 2.0 * c.c0, 2.0 * c.d0, -c.b0)
 
 
-def measure_stokes(scan: PolarimeterScan) -> NormalizedStokes:
+def measure_stokes(scan: PolarimeterScan | FourierCoefficients) -> NormalizedStokes:
     """Full analysis pipeline: coefficients -> Stokes -> unit sphere.
 
-    The degree of polarization of the raw estimate is logged for
-    diagnostics but never used to reject a measurement; gain cancels in
-    the normalization.
+    ``scan`` is a scan or its extracted coefficients.  The degree of
+    polarization of the raw estimate is logged for diagnostics but never
+    used to reject a measurement; gain cancels in the normalization.
     """
-    coeffs = extract_coefficients(scan)
+    coeffs = scan if isinstance(scan, FourierCoefficients) else extract_coefficients(scan)
     s = stokes_from_coefficients(coeffs)
     if s.s0 > 0.0 and log.isEnabledFor(logging.DEBUG):
         log.debug("scan DOP estimate: %.6f", degree_of_polarization(s))

@@ -336,9 +336,9 @@ def test_step_statistics_are_pinned():
     lab = run_trials(200, noise=NoiseModel.lab(), base_seed=301)
     assert lab.to_json() == {
         "trials": 200,
-        "mean_steps_to_97": 1.975,
-        "mean_steps_to_99": 2.13,
-        "mean_steps_to_995": 2.35,
+        "mean_steps_to_97": 1.99,
+        "mean_steps_to_99": 2.11,
+        "mean_steps_to_995": 2.4,
         "unreached_97": 0,
         "unreached_99": 0,
         "unreached_995": 0,
@@ -349,8 +349,8 @@ def test_step_statistics_are_pinned():
     assert stale.to_json() == {
         "trials": 200,
         "mean_steps_to_97": 2.07,
-        "mean_steps_to_99": 2.48,
-        "mean_steps_to_995": 2.885,
+        "mean_steps_to_99": 2.475,
+        "mean_steps_to_995": 3.01,
         "unreached_97": 0,
         "unreached_99": 0,
         "unreached_995": 0,
@@ -390,9 +390,9 @@ def _pinned_runs(cells, curve_error):
 
 
 @pytest.mark.parametrize("config, digest", zip(_PINNED_CONFIGS, [
-    "57fde07374cb855ccff0ff8b3d0244028960d338bc96e6bb9147c623c1025f80",
-    "0c23a120932fea6c104675b68379978582b2f502541c3e34f3e5fdb4d80e482a",
-    "1e5fc0e98685bcf9c858fd7f50e08bb83a60e0fd11550c4821db6cfb55cbc236",
+    "70ab006741a7f10fb73d70ac9c13ac8e62d7edbde29df2bf16ae00943d1eeccd",
+    "b5b08d4e00285183e7f5306c078248794cd07b343b285488c4027edccf6b9f74",
+    "c24db986341152032d784d729a59a21f1b7cfd494cb8fd0f41ee4e28fe1f9c18",
 ]), ids=_PINNED_IDS)
 def test_decisions_are_pinned(config, digest):
     # Behaviour: every stop reason, phase and applied voltage.  A change
@@ -403,9 +403,9 @@ def test_decisions_are_pinned(config, digest):
 
 
 @pytest.mark.parametrize("config, digest", zip(_PINNED_CONFIGS, [
-    "af8d8d26fdef3e0d84dd96f8ea17bc954758039c32e5a2c7c933e21c7c8bba20",
-    "f545d0c0370467b52290ac8878584b4503249fda477a71ce470c5c51827e3767",
-    "b84aca9dbadf9c1dad09438bd77056c33241b9b398bb531dd07dd49819913563",
+    "5831f5152e502489d7856f0c0b03f3d310e59397bd66ac88eb912f120ebbff21",
+    "f86b773bd2d05b958cbccb35aa7c5ea5de93564dd9bbb20d4aee7544934ec8c3",
+    "0a6a8dad974eb334bbcbddd02491db8c374164dd6f422ed7b5bddfd48c67fd04",
 ]), ids=_PINNED_IDS)
 def test_full_transcripts_are_pinned(config, digest):
     # Bits: every recorded float at full precision.  A bit-identical change

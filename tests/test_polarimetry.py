@@ -12,6 +12,7 @@ from polcomp.bench import NoiseModel
 from polcomp.polarimetry import (
     FourierCoefficients,
     PolarimeterScan,
+    _drawn_coefficients,
     extract_coefficients,
     ideal_intensity,
     measure_stokes,
@@ -140,6 +141,31 @@ def test_mount_drift_is_common_mode():
     diffs = np.diff(scan.angles)
     np.testing.assert_allclose(diffs, STEP310, atol=1e-12)
     assert abs(scan.angles[0]) > 0.0  # the drift itself
+
+
+def test_drawn_sums_follow_the_sample_wise_distribution():
+    # 20,000 readings each way at lab detector noise and no drift: the means
+    # agree, the spreads are 2 sigma / sqrt(N) for a0 and 2 sqrt(2) sigma /
+    # sqrt(N) for the others, and the four sums are uncorrelated.
+    noise = NoiseModel(pd_sigma=0.005, background_v=0.05, angle_jitter_sigma=0.0)
+    s = StokesVector(1.0, 0.36, -0.48, 0.8)
+    m = 20_000
+    rng = np.random.default_rng(2026)
+
+    def sums(c):
+        return (c.a0, c.b0, c.c0, c.d0)
+
+    drawn = np.array([sums(_drawn_coefficients(s, N310, noise, rng)) for _ in range(m)])
+    scanned = np.array([
+        sums(extract_coefficients(simulate_scan(s, N310, STEP310, noise=noise, seed=rng)))
+        for _ in range(m)
+    ])
+    sd = 2.0 * noise.pd_sigma / math.sqrt(N310) * np.array([1.0, *[math.sqrt(2.0)] * 3])
+    for sample in (drawn, scanned):
+        np.testing.assert_allclose(sample.std(axis=0, ddof=1), sd, rtol=0.03)
+        assert np.abs(np.corrcoef(sample, rowvar=False) - np.eye(4)).max() < 0.04
+    se = np.sqrt((drawn.var(axis=0, ddof=1) + scanned.var(axis=0, ddof=1)) / m)
+    assert (np.abs(drawn.mean(axis=0) - scanned.mean(axis=0)) < 4.0 * se).all()
 
 
 def test_stokes_from_coefficients_never_validates():

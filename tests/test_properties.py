@@ -3,7 +3,6 @@ retarder inversion, the 3-vector rotations against the 4x4 algebra, the
 scan estimator, unwrapping and the file formats, checked over generated
 inputs."""
 
-import copy
 import math
 import warnings
 
@@ -50,7 +49,13 @@ from polcomp.lcvr import (
     unwrap_retardance,
     voltage_for_retardance,
 )
-from polcomp.polarimetry import PolarimeterScan, extract_coefficients, simulate_scan
+from polcomp.polarimetry import (
+    PolarimeterScan,
+    _drawn_coefficients,
+    _scan_rng,
+    extract_coefficients,
+    simulate_scan,
+)
 from polcomp.stokes import (
     NormalizedStokes,
     StokesVector,
@@ -489,22 +494,6 @@ def test_extract_coefficients_matches_three_trig_reference(scan):
     )
 
 
-def _trig_sums(scan):
-    """The Fourier sums from ``sin`` and ``cos`` of the scan's own angles,
-    operation for operation as :func:`extract_coefficients` takes them for
-    any scan not drawn on a cached grid."""
-    v = scan.voltages - scan.background_voltage
-    th2 = 2.0 * (scan.angles - scan.offset_alpha)
-    n = v.size
-    s, c = np.sin(th2), np.cos(th2)
-    return (
-        2.0 / n * float(v.sum()),
-        4.0 / n * float((v * s).sum()),
-        4.0 / n * float((v * (c * c - s * s)).sum()),
-        8.0 / n * float((v * (s * c)).sum()),
-    )
-
-
 @st.composite
 def simulated_scans(draw):
     """Noisy scans of a random pure state: ``n`` samples a step apart that
@@ -528,24 +517,22 @@ def test_simulated_scan_sums_match_three_trig_reference(scan):
     np.testing.assert_allclose(
         (c.a0, c.b0, c.c0, c.d0), _three_trig_coefficients(scan), rtol=0, atol=1e-13
     )
-    # The grid sums hold only while the angles stay those of the grid.
-    with pytest.raises(ValueError, match="read-only"):
-        scan.angles[0] += 1e-3
 
 
 @settings(deadline=None)
-@given(scan=simulated_scans())
-def test_other_scans_keep_the_trig_sums(tmp_path_factory, scan):
-    # Read back from its file, deep-copied (whose angles are writable), or
-    # given new angles: the scan is no longer the grid's.
-    path = tmp_path_factory.mktemp("scan") / "scan.csv"
-    write_scan(path, scan)
-    back, twin = read_scan(path), copy.deepcopy(scan)
-    twin.angles[0] -= 1e-3
-    scan.angles = scan.angles.copy()
-    for other in (back, twin, scan):
-        c = extract_coefficients(other)
-        assert (c.a0, c.b0, c.c0, c.d0) == _trig_sums(other)
+@given(u=unit_vectors, n=st.integers(16, 400), background=st.floats(0.0, 0.1),
+       drift_sigma=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_drawn_sums_of_a_quiet_reading_are_the_scan_sums(u, n, background, drift_sigma, seed):
+    # Noise-free, both sides draw only the drift, from the same tagged stream.
+    s = StokesVector(1.0, *u)
+    noise = NoiseModel(pd_sigma=0.0, background_v=background, angle_jitter_sigma=drift_sigma)
+    scan = simulate_scan(s, n, 2.0 * math.pi / n, noise=noise, seed=seed)
+    assume(abs(scan.angles[0]) <= 1.0)
+    c = extract_coefficients(scan)
+    drawn = _drawn_coefficients(s, n, noise, _scan_rng(seed))
+    np.testing.assert_allclose(
+        (drawn.a0, drawn.b0, drawn.c0, drawn.d0), (c.a0, c.b0, c.c0, c.d0), rtol=0, atol=1e-13
+    )
 
 
 def _near_a_branch_boundary(x):
