@@ -36,7 +36,7 @@ from .compensation import (
     run_compensation,
 )
 from .lcvr import CharacterizationSweep, RetardanceCurve, retardance_for_voltage
-from .polarimetry import _drawn_coefficients, _scan_rng, measure_stokes, simulate_scan  # noqa: F401
+from .polarimetry import _drawn_coefficients, _scan_rng, _stream, measure_stokes
 from .stokes import (
     CARDINAL_STOKES,
     NormalizedStokes,
@@ -157,7 +157,7 @@ def random_disturbance(seed: int) -> FiberDisturbance:
     so repeated draws cover SO(3) without the axis clustering a naive
     Euler-angle draw would show.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _TAG_DISTURBANCE]))
+    rng = _stream(seed, _TAG_DISTURBANCE)
     u1, u2, u3 = rng.uniform(0.0, 1.0, 3).tolist()
     a, b = math.sqrt(1.0 - u1), math.sqrt(u1)
     x = a * math.sin(2.0 * math.pi * u2)
@@ -197,7 +197,6 @@ def synthetic_retardance_curve(index: int = 0) -> RetardanceCurve:
         drive_voltages=v,
         retardances=ret,
         retardance_errors=np.zeros_like(v),
-        voltage_step=step,
         wavelength_nm=780.0,
     )
 
@@ -225,7 +224,7 @@ def simulate_characterization_sweep(
     delta = np.asarray(retardance_fn(v), dtype=float)
     clean = (1.0 - np.cos(delta)) / 2.0
     if pd_sigma > 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _TAG_SWEEP]))
+        rng = _stream(seed, _TAG_SWEEP)
         reads = clean[None, :] + rng.normal(0.0, pd_sigma, (int(n_repeats), v.size))
         mean = reads.mean(axis=0)
         sem = np.full(v.size, pd_sigma / math.sqrt(n_repeats))
@@ -264,7 +263,7 @@ def _curve_biases(seed: int, sigma: float, n: int) -> tuple[float, ...]:
     """
     if sigma <= 0.0:
         return (0.0,) * n
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, _TAG_CURVE_BIAS]))
+    rng = _stream(seed, _TAG_CURVE_BIAS)
     return tuple(rng.normal(0.0, sigma, n).tolist())
 
 
@@ -285,8 +284,8 @@ def virtual_measure(
     this disturbance).  The reading's scan would take
     :data:`DEFAULT_SCAN_SAMPLES` samples :data:`DEFAULT_SCAN_STEP` apart,
     one uniform revolution with i.i.d. Gaussian detector noise, one mount
-    drift, no mount offset and unit gain, so its Fourier sums are drawn
-    from their exact distribution instead
+    drift and no mount offset, so its Fourier sums are drawn from their
+    exact distribution instead
     (:func:`~polcomp.polarimetry._drawn_coefficients`).  ``seed`` seeds
     them as in :func:`~polcomp.polarimetry.simulate_scan`: an integer
     derives the scan's own generator, a ``Generator`` is drawn from.
@@ -329,8 +328,7 @@ class VirtualApparatus:
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        key = np.random.SeedSequence([self.seed & 0xFFFFFFFF, _TAG_APPARATUS])
-        self._rng = np.random.default_rng(key)
+        self._rng = _stream(self.seed, _TAG_APPARATUS)
 
     def __call__(self, voltages: Sequence[float]) -> NormalizedStokes:
         self.calls += 1

@@ -320,7 +320,6 @@ def read_sweep(path: str | os.PathLike) -> CharacterizationSweep:
 def write_curve(path: str | os.PathLike, curve: RetardanceCurve) -> None:
     columns = [curve.drive_voltages, curve.retardances, curve.retardance_errors]
     meta = {
-        "voltage_step_v": float(curve.voltage_step),
         "wavelength_nm": None if curve.wavelength_nm is None else float(curve.wavelength_nm),
         "fold_count": None if curve.fold_count is None else int(curve.fold_count),
     }
@@ -343,7 +342,6 @@ def read_curve(path: str | os.PathLike) -> RetardanceCurve:
     return _build(
         path, RetardanceCurve,
         drive_voltages=data[:, 0], retardances=data[:, 1], retardance_errors=data[:, 2],
-        voltage_step=_sidecar_float(side, meta, "voltage_step_v", 0.0),
         wavelength_nm=wavelength, fold_count=fold_count,
     )
 

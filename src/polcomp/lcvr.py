@@ -123,16 +123,15 @@ class RetardanceCurve:
     no finite error bar exists (clamped arccos arguments and the sweep
     maximum).  ``fold_count`` is recorded by :func:`build_curve`; curves
     constructed directly (e.g. synthetic ones) may leave it ``None``.  The
-    three arrays are private read-only copies, so the lookup table a curve
-    builds on its first lookup stays valid; new data makes a new curve.
-    A curve equals only itself and hashes by identity, so per-curve work
-    can be memoized on it.
+    three arrays are private read-only copies, so the lookup arrays a
+    curve derives on its first lookup stay valid; new data makes a new
+    curve.  A curve equals only itself and hashes by identity, so
+    per-curve work can be memoized on it.
     """
 
     drive_voltages: np.ndarray
     retardances: np.ndarray
     retardance_errors: np.ndarray
-    voltage_step: float = 0.0
     wavelength_nm: float | None = None
     fold_count: int | None = None
 
@@ -163,12 +162,6 @@ class RetardanceCurve:
                              f"does not fall below knot {i - 1} ({float(r[i - 1])!r} rad)")
         if not (self.wavelength_nm is None or 0.0 < self.wavelength_nm < math.inf):
             raise ValueError(f"wavelength_nm must be in (0, inf), got {self.wavelength_nm!r}")
-        if not (math.isfinite(self.voltage_step) and self.voltage_step >= 0.0):
-            raise ValueError(
-                f"voltage_step must be finite and non-negative, got {self.voltage_step!r}"
-            )
-        if self.voltage_step == 0.0:
-            self.voltage_step = float(np.median(np.diff(self.drive_voltages)))
         for arr in (self.drive_voltages, self.retardances, self.retardance_errors):
             arr.flags.writeable = False
 
@@ -191,44 +184,30 @@ class RetardanceCurve:
         return voltage_for_retardance(self, 2.0 * math.pi)
 
     @cached_property
-    def _table(self) -> "_LookupTable":
-        # Built on first lookup: the arrays are read-only, so it never goes stale.
-        return _LookupTable.build(self.drive_voltages, self.retardances)
+    def _rising(self) -> tuple[np.ndarray, np.ndarray]:
+        """The knot retardances and voltages reversed, so retardance rises,
+        and contiguous for ``np.interp``."""
+        return (np.ascontiguousarray(self.retardances[::-1]),
+                np.ascontiguousarray(self.drive_voltages[::-1]))
 
-
-@dataclass(frozen=True, eq=False)
-class _LookupTable:
-    """What every lookup on one curve needs, computed once per curve.
-
-    ``ranked`` and ``ranked_v`` are the knot retardances and voltages
-    reversed, so retardance rises, and contiguous for ``np.interp``.
-    ``slope[i - 1]`` is the slope :func:`curve_slope_at` reports between
-    knots ``i - 1`` and ``i + 1`` (the last knot, for ``i = n - 1``).
-    ``xs``, ``ys`` and ``dr_dv`` are the knot voltages, the knot
-    retardances and the slope ``dr/dv`` of each interval as arrays of
-    doubles, so the scalar :func:`retardance_for_voltage` reads Python
-    floats and makes no numpy call.
-    """
-
-    ranked: np.ndarray
-    ranked_v: np.ndarray
-    slope: np.ndarray
-    xs: array
-    ys: array
-    dr_dv: array
-
-    @classmethod
-    def build(cls, v: np.ndarray, r: np.ndarray) -> "_LookupTable":
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        """``[i - 1]`` is the slope :func:`curve_slope_at` reports between
+        knots ``i - 1`` and ``i + 1`` (the last knot, for ``i = n - 1``)."""
+        v, r = self.drive_voltages, self.retardances
         i = np.arange(1, r.size)
         hi = np.minimum(i + 1, r.size - 1)
-        return cls(
-            ranked=np.ascontiguousarray(r[::-1]),
-            ranked_v=np.ascontiguousarray(v[::-1]),
-            slope=np.abs((r[hi] - r[i - 1]) / (v[hi] - v[i - 1])),
-            xs=array("d", v.tobytes()),
-            ys=array("d", r.tobytes()),
-            dr_dv=array("d", (np.diff(r) / np.diff(v)).tobytes()),
-        )
+        return np.abs((r[hi] - r[i - 1]) / (v[hi] - v[i - 1]))
+
+    @cached_property
+    def _knots(self) -> tuple[array, array, array]:
+        """The knot voltages, the knot retardances and each interval's
+        ``dr/dv`` as arrays of doubles, so the scalar
+        :func:`retardance_for_voltage` reads Python floats and makes no
+        numpy call."""
+        v, r = self.drive_voltages, self.retardances
+        return (array("d", v.tobytes()), array("d", r.tobytes()),
+                array("d", (np.diff(r) / np.diff(v)).tobytes()))
 
 
 def _principal_retardance(v_meas, v_back: float, v_max: float):
@@ -489,12 +468,11 @@ def retardance_for_voltage(curve: RetardanceCurve, voltage: float) -> float:
     lo, hi = curve.voltage_span
     if not (lo <= voltage <= hi):
         raise ValueError(f"voltage {voltage!r} outside calibrated span [{lo!r}, {hi!r}]")
-    table = curve._table
-    xs = table.xs
+    xs, ys, dr_dv = curve._knots
     j = bisect_right(xs, voltage) - 1
     if j == len(xs) - 1 or xs[j] == voltage:
-        return table.ys[j]
-    return table.dr_dv[j] * (voltage - xs[j]) + table.ys[j]
+        return ys[j]
+    return dr_dv[j] * (voltage - xs[j]) + ys[j]
 
 
 def voltage_for_retardance(
@@ -513,8 +491,7 @@ def voltage_for_retardance(
     t = np.asarray(target, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError(f"target retardance must be finite, got {target!r}")
-    table = curve._table
-    voltage = np.interp(t, table.ranked, table.ranked_v)
+    voltage = np.interp(t, *curve._rising)
     return float(voltage) if t.ndim == 0 else voltage
 
 
@@ -523,5 +500,5 @@ def curve_slope_at(
 ) -> float | np.ndarray:
     """Local |d(retardance)/d(voltage)| near a drive voltage (scalar or array)."""
     i = curve.drive_voltages[1:-1].searchsorted(voltage)  # in [0, n - 2]
-    slope = curve._table.slope[i]
+    slope = curve._slopes[i]
     return float(slope) if slope.ndim == 0 else slope

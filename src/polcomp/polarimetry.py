@@ -112,15 +112,14 @@ class FourierCoefficients:
     d0: float
 
 
-def _intensity_array(s: StokesVector, s2, c2c2, s2c2, gain: float = 1.0):
-    """Detected intensity times ``gain``, given ``sin(2 phi)``,
-    ``cos^2(2 phi)`` and ``sin(2 phi) cos(2 phi)``.
+def _intensity_array(s: StokesVector, s2, c2c2, s2c2):
+    """Detected intensity, given ``sin(2 phi)``, ``cos^2(2 phi)`` and
+    ``sin(2 phi) cos(2 phi)``.
 
     The factors fold into the four scalar weights, so an array input
     costs one product per harmonic and three sums.
     """
-    h = 0.5 * gain
-    return h * s.s0 + (h * s.s1) * c2c2 + (h * s.s2) * s2c2 - (h * s.s3) * s2
+    return 0.5 * s.s0 + (0.5 * s.s1) * c2c2 + (0.5 * s.s2) * s2c2 - (0.5 * s.s3) * s2
 
 
 @lru_cache(maxsize=8)
@@ -136,11 +135,16 @@ def _scan_grid(n_samples: int, step: float) -> tuple[np.ndarray, ...]:
     return grid
 
 
+def _stream(seed: int, tag: int) -> np.random.Generator:
+    """The generator keyed by ``[seed, tag]``: every tagged consumer's stream."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, tag]))
+
+
 def _scan_rng(seed: int | np.random.Generator) -> np.random.Generator:
     """``seed`` itself if a generator, else the scan's tagged stream of the integer."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, _TAG_SCAN]))
+    return _stream(seed, _TAG_SCAN)
 
 
 def ideal_intensity(s: StokesVector, phi: float) -> float:
@@ -164,13 +168,12 @@ def simulate_scan(
     alpha: float = 0.0,
     noise: "NoiseModel | None" = None,
     seed: int | np.random.Generator = 0,
-    gain: float = 1.0,
 ) -> PolarimeterScan:
     """Generate a synthetic scan of ``s_in`` with an optional noise model.
 
     The wave plate visits ``phi_n = n * step`` for ``n = 0 .. n_samples-1``
     and the product ``n_samples * step`` must cover a full revolution.
-    Detector voltages are ``gain * I(phi_n) + background + N(0, pd_sigma)``;
+    Detector voltages are ``I(phi_n) + background + N(0, pd_sigma)``;
     recorded angles are ``phi_n + alpha + drift`` where ``drift`` is a
     single per-scan draw from ``N(0, angle_jitter_sigma)`` standing in for
     the slow mount-zero wander seen between re-homings of a real stage.
@@ -194,12 +197,9 @@ def simulate_scan(
         raise ValueError(
             f"n_samples * step = {n_samples * step:.6f} rad does not cover a revolution"
         )
-    gain = float(gain)
-    if not (math.isfinite(gain) and gain > 0.0):
-        raise ValueError(f"gain must be positive, got {gain!r}")
 
     phi, s2, c2c2, s2c2 = _scan_grid(n_samples, step)
-    volts = _intensity_array(s_in, s2, c2c2, s2c2, gain)
+    volts = _intensity_array(s_in, s2, c2c2, s2c2)
 
     background = 0.0
     drift = 0.0
@@ -247,8 +247,8 @@ def _drawn_coefficients(
 
     Exact for ``N = n_samples > 8`` angles on a uniform grid covering
     exactly one revolution, i.i.d. Gaussian detector noise, one drift ``d``
-    per scan, no mount offset and unit gain: the sums are linear in the
-    voltages, with Gram matrix ``diag(N, N/2, N/2, N/2)`` whatever ``d``, so
+    per scan and no mount offset: the sums are linear in the voltages,
+    with Gram matrix ``diag(N, N/2, N/2, N/2)`` whatever ``d``, so
 
         a0 = S0 + S1/2                   + (2 sigma / sqrt N) z0
         b0 = -S3 cos 2d                  + (2 sqrt2 sigma / sqrt N) z1

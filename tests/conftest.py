@@ -82,8 +82,7 @@ def rescaled_curve_set(n, lo, hi):
     for c in synthetic_curve_set(n):
         r = c.retardances
         scaled = lo + (hi - lo) * (r - r.min()) / (r.max() - r.min())
-        out.append(RetardanceCurve(c.drive_voltages, scaled, c.retardance_errors,
-                                   voltage_step=c.voltage_step))
+        out.append(RetardanceCurve(c.drive_voltages, scaled, c.retardance_errors))
     return out
 
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polcomp import bench
+from polcomp import bench, polarimetry
 from polcomp.bench import (
     DEFAULT_SCAN_SAMPLES,
     DEFAULT_SCAN_STEP,
@@ -294,8 +294,8 @@ def test_bench_streams_of_one_seed_never_share_a_state(monkeypatch, seed):
         "disturbance": lambda: random_disturbance(seed),
         "curve bias": biases,
         "apparatus scans": readings,
-        "scan": lambda: bench.simulate_scan(CARDINAL_STOKES["H"], DEFAULT_SCAN_SAMPLES,
-                                            DEFAULT_SCAN_STEP, noise=lab, seed=seed),
+        "scan": lambda: polarimetry.simulate_scan(CARDINAL_STOKES["H"], DEFAULT_SCAN_SAMPLES,
+                                                  DEFAULT_SCAN_STEP, noise=lab, seed=seed),
         "sweep": lambda: simulate_characterization_sweep(
             np.linspace(0.1, 16.0, 50), np.sqrt, pd_sigma=0.01, seed=seed),
     }

@@ -129,8 +129,8 @@ def test_characterize_bad_sweep_sidecar_is_a_data_error(sweep_file, tmp_path, ca
     assert "sweep.json" in err and "background_sem_v" in err
 
 
-@pytest.mark.parametrize("key, value", [("voltage_step_v", None), ("wavelength_nm", [1.0]),
-                                        ("fold_count", [2]), ("fold_count", 2.7)])
+@pytest.mark.parametrize("key, value", [("fold_count", 2.7), ("wavelength_nm", [1.0]),
+                                        ("fold_count", [2])])
 def test_compensate_bad_curve_sidecar_is_a_data_error(curve_files, tmp_path, capsys,
                                                       key, value):
     _edit_sidecar(curve_files[2], **{key: value})
@@ -324,9 +324,7 @@ def test_replay_rejects_a_malformed_argv(tmp_path, capsys, argv):
     assert "bad.manifest.json" in err and "argv" in err
 
 
-@pytest.mark.parametrize("key, value", [("voltage_step_v", "0.01"), ("voltage_step_v", -0.5),
-                                        ("voltage_step_v", float("nan")),
-                                        ("wavelength_nm", True)])
+@pytest.mark.parametrize("key, value", [("wavelength_nm", True)])
 def test_compensate_curve_sidecar_number_is_a_data_error(curve_files, tmp_path, capsys,
                                                          key, value):
     _edit_sidecar(curve_files[1], **{key: value})

@@ -67,7 +67,6 @@ def test_curve_round_trip_with_nan_bars(tmp_path, clean_sweep):
     np.testing.assert_array_equal(back.retardance_errors, curve.retardance_errors)
     assert back.wavelength_nm == 780.0
     assert back.fold_count == curve.fold_count
-    assert back.voltage_step == curve.voltage_step
 
 
 def test_curve_metadata_is_optional(tmp_path, clean_sweep):
@@ -91,12 +90,12 @@ _GOLDEN = {
             drive_voltages=[-0.0, 5e-324, 0.1, 1 / 3, 2.0, 1e16],
             retardances=[1e16, 2.0, 1 / 3, 0.1, 5e-324, -0.0],
             retardance_errors=[math.nan, 0.1, -0.0, 5e-324, 1e16, 1 / 3],
-            voltage_step=0.5, wavelength_nm=780.0, fold_count=2)),
+            wavelength_nm=780.0, fold_count=2)),
         "drive_voltage_rms_v,retardance_rad,retardance_error_rad\n"
         "-0.0,1e+16,\n5e-324,2.0,0.1\n0.1,0.3333333333333333,-0.0\n"
         "0.3333333333333333,0.1,5e-324\n2.0,5e-324,1e+16\n"
         "1e+16,-0.0,0.3333333333333333\n",
-        '{\n  "fold_count": 2,\n  "voltage_step_v": 0.5,\n  "wavelength_nm": 780.0\n}\n',
+        '{\n  "fold_count": 2,\n  "wavelength_nm": 780.0\n}\n',
     ),
     "sweep": (
         lambda p: write_sweep(p, CharacterizationSweep(
@@ -152,12 +151,10 @@ def _edit_sidecar(path, **changes):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("voltage_step_v", None),
-    ("voltage_step_v", "fast"),
-    ("wavelength_nm", [780.0]),
-    ("fold_count", [2]),
     ("fold_count", 2.7),
     ("fold_count", -1),
+    ("wavelength_nm", [780.0]),
+    ("fold_count", [2]),
     ("fold_count", True),
 ])
 def test_curve_sidecar_of_the_wrong_type_names_its_key(tmp_path, key, value):
@@ -397,8 +394,6 @@ def test_sweep_sidecar_number_must_be_a_json_number(tmp_path, noisy_sweep, key, 
 
 
 @pytest.mark.parametrize("key, value", [
-    ("voltage_step_v", "0.01"),
-    ("voltage_step_v", True),
     ("wavelength_nm", "780"),
 ])
 def test_curve_sidecar_number_must_be_a_json_number(tmp_path, key, value):
@@ -421,17 +416,17 @@ def test_scan_true_state_rejects_bools_and_huge_ints(tmp_path):
                        true_state=state)
 
 
-@pytest.mark.parametrize("step", [-0.5, math.nan, math.inf])
-def test_curve_voltage_step_must_be_finite_and_non_negative(tmp_path, step):
+@pytest.mark.parametrize("step", [0.5, None, "fast"])
+def test_curve_sidecar_with_a_voltage_step_still_reads(tmp_path, step):
+    # Older curve sidecars carry a "voltage_step_v" key; like any key the
+    # reader does not read, it is ignored, whatever its value.
     base = synthetic_curve_set(1)[0]
-    with pytest.raises(ValueError, match="voltage_step"):
-        RetardanceCurve(base.drive_voltages, base.retardances, base.retardance_errors,
-                        voltage_step=step)
     p = tmp_path / "curve.csv"
     write_curve(p, base)
     _edit_sidecar(p, voltage_step_v=step)
-    with pytest.raises(FileFormatError, match="curve.csv.*voltage_step"):
-        read_curve(p)
+    back = read_curve(p)
+    np.testing.assert_array_equal(back.retardances, base.retardances)
+    assert back.wavelength_nm == base.wavelength_nm
 
 
 @pytest.mark.parametrize("wavelength", [math.nan, -780.0, 0.0, math.inf])
@@ -487,11 +482,10 @@ def test_run_log_lines_must_be_objects(tmp_path, line, where):
     ("sweep", {"background_voltage_v": ...}, "missing 'background_voltage_v'"),
     ("sweep", {"background_sem_v": [0.001]}, "'background_sem_v' is not a number"),
     ("sweep", "{broken", "invalid JSON"),
-    ("curve", {"voltage_step_v": "fast"}, "'voltage_step_v' is not a number"),
+    ("curve", "[1]", "expected a JSON object"),
     ("curve", {"wavelength_nm": "780"}, "'wavelength_nm' is not a number"),
     ("curve", {"wavelength_nm": -780.0}, r"'wavelength_nm' must be in \(0, inf\)"),
     ("curve", {"fold_count": 2.7}, "'fold_count' must be a non-negative integer"),
-    ("curve", "[1]", "expected a JSON object"),
 ])
 def test_sidecar_error_names_the_sidecar_once(tmp_path, noisy_sweep, kind, change, reason):
     p = tmp_path / f"{kind}.csv"

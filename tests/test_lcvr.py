@@ -16,7 +16,6 @@ from polcomp.lcvr import (
     CharacterizationSweep,
     RetardanceCurve,
     UnwrapAmbiguityError,
-    _LookupTable,
     _unwrap_with_folds,
     build_curve,
     curve_slope_at,
@@ -351,8 +350,7 @@ def test_curve_built_from_another_looks_up_its_own_data():
     before = voltage_for_retardance(base, targets)  # base builds its table first
     # Halving is exact in binary, so each lookup on the half curve must
     # reproduce the base curve's bit for bit, or have read a stale table.
-    half = RetardanceCurve(base.drive_voltages, 0.5 * base.retardances,
-                           base.retardance_errors, voltage_step=base.voltage_step)
+    half = RetardanceCurve(base.drive_voltages, 0.5 * base.retardances, base.retardance_errors)
     assert half.retardance_span == tuple(0.5 * x for x in base.retardance_span)
     assert np.array_equal(voltage_for_retardance(half, 0.5 * targets), before)
     assert np.array_equal(curve_slope_at(half, volts), 0.5 * curve_slope_at(base, volts))
@@ -364,7 +362,6 @@ def test_curve_built_from_another_looks_up_its_own_data():
 _V, _R = np.linspace(1.0, 6.0, 12), np.linspace(5.0, 1.0, 12)
 _RECORDS = {
     "curve": lambda: RetardanceCurve(_V, _R, np.full(12, 0.01)),
-    "lookup-table": lambda: _LookupTable.build(_V, _R),
     "sweep": lambda: CharacterizationSweep(_V, np.linspace(1.0, 0.0, 12), np.zeros(12), 0.0),
     "scan": lambda: PolarimeterScan(np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False),
                                     np.ones(40)),

@@ -94,9 +94,9 @@ def test_reconstruction_of_random_elliptical_states():
 
 
 def test_gain_cancels():
-    s = CARDINAL_STOKES["D"]
-    u1 = measure_stokes(simulate_scan(s, N310, STEP310, gain=1.0))
-    u2 = measure_stokes(simulate_scan(s, N310, STEP310, gain=37.5))
+    scan = simulate_scan(CARDINAL_STOKES["D"], N310, STEP310)
+    u1 = measure_stokes(scan)
+    u2 = measure_stokes(PolarimeterScan(scan.angles, 37.5 * scan.voltages))
     np.testing.assert_allclose(
         [u1.u1, u1.u2, u1.u3], [u2.u1, u2.u2, u2.u3], atol=1e-12
     )
@@ -214,8 +214,6 @@ def test_scan_rejects_short_span():
 
 
 def test_scan_rejects_bad_gain_and_step():
-    with pytest.raises(ValueError):
-        simulate_scan(CARDINAL_STOKES["H"], N310, STEP310, gain=0.0)
     with pytest.raises(ValueError):
         simulate_scan(CARDINAL_STOKES["H"], N310, -STEP310)
 

@@ -185,7 +185,7 @@ def _plateau(curve):
     becomes a block tilted across less than 0.025 rad."""
     stepped = np.round(curve.retardances / 0.05) * 0.05
     return RetardanceCurve(curve.drive_voltages, _falling_fit(stepped, curve.retardance_errors),
-                           curve.retardance_errors, voltage_step=curve.voltage_step)
+                           curve.retardance_errors)
 
 
 _SOLVE_CURVES = {
@@ -758,7 +758,7 @@ def test_curve_csv_round_trip(tmp_path_factory, curve):
     back = read_curve(path)
     for name in ("drive_voltages", "retardances", "retardance_errors"):
         np.testing.assert_array_equal(getattr(back, name), getattr(curve, name))
-    for name in ("voltage_step", "wavelength_nm", "fold_count"):
+    for name in ("wavelength_nm", "fold_count"):
         assert getattr(back, name) == getattr(curve, name)
 
 
