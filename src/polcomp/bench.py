@@ -36,7 +36,7 @@ from .compensation import (
     run_compensation,
 )
 from .lcvr import CharacterizationSweep, RetardanceCurve, retardance_for_voltage
-from .polarimetry import _drawn_coefficients, _scan_rng, _stream, measure_stokes
+from .polarimetry import _drawn_coefficients, _stream, measure_stokes
 from .stokes import (
     CARDINAL_STOKES,
     NormalizedStokes,
@@ -273,7 +273,7 @@ def virtual_measure(
     curves: Sequence[RetardanceCurve],
     true_source: StokesVector,
     noise: NoiseModel,
-    seed: int | np.random.Generator = 0,
+    rng: np.random.Generator,
 ) -> NormalizedStokes:
     """One end-to-end polarimeter reading of the compensated link.
 
@@ -286,9 +286,8 @@ def virtual_measure(
     one uniform revolution with i.i.d. Gaussian detector noise, one mount
     drift and no mount offset, so its Fourier sums are drawn from their
     exact distribution instead
-    (:func:`~polcomp.polarimetry._drawn_coefficients`).  ``seed`` seeds
-    them as in :func:`~polcomp.polarimetry.simulate_scan`: an integer
-    derives the scan's own generator, a ``Generator`` is drawn from.
+    (:func:`~polcomp.polarimetry._drawn_coefficients`), from ``rng``: the
+    caller owns the stream, as a :class:`VirtualApparatus` owns one.
     """
     if len(compensator_voltages) != len(curves):
         raise ValueError(
@@ -305,7 +304,7 @@ def virtual_measure(
         delta = retardance_for_voltage(curve, v) + biases[i]
         s = _rotate(_lcvr_rows(_STACK_ANGLES[i], delta), s)
     s_out = StokesVector(true_source.s0, *s)
-    return measure_stokes(_drawn_coefficients(s_out, DEFAULT_SCAN_SAMPLES, noise, _scan_rng(seed)))
+    return measure_stokes(_drawn_coefficients(s_out, DEFAULT_SCAN_SAMPLES, noise, rng))
 
 
 @dataclass
@@ -332,14 +331,8 @@ class VirtualApparatus:
 
     def __call__(self, voltages: Sequence[float]) -> NormalizedStokes:
         self.calls += 1
-        return virtual_measure(
-            self.disturbance,
-            voltages,
-            self.curves,
-            self.source,
-            self.noise,
-            seed=self._rng,
-        )
+        return virtual_measure(self.disturbance, voltages, self.curves, self.source, self.noise,
+                               self._rng)
 
 
 @dataclass

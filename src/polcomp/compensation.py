@@ -10,6 +10,7 @@ voltages that map it onto the target are solved for directly.  Any other
 reading below the fine threshold takes one Gauss-Newton step on the
 measured error.  The run is in the coarse phase while each reading is
 solved from below the coarse threshold; the phase picks the step budget.
+A reading at or above the fine threshold ends the run, at its setting.
 
 The retardance solve is closed-form.  The 0/45/0 stack turns the
 sphere about S1, then S2, then S1: an Euler-angle chart of SO(3), so the
@@ -401,16 +402,30 @@ def _solve_from(
     return (*solve_retardances(s_dis, target_eff, curves[:3]), *rec.voltages[3:])
 
 
-def _correct(run: CompensationRun) -> bool:
-    """Actuate the correction of the latest reading by the rule stated in
-    :func:`coarse_step`; return whether it was solved from."""
-    rec, config = run.steps[-1], run.config
-    if len(run.steps) == 1 or rec.fidelity < min(config.coarse_threshold, run.steps[-2].fidelity):
+def _step(run: CompensationRun, measure: MeasurementProvider) -> CompensationRun:
+    """Measure at the stack's setting, record the reading in the run's
+    phase and correct from it by the rule stated in :func:`coarse_step`.
+    The run moves to ``fine`` unless the reading was solved from below the
+    coarse threshold."""
+    stokes = measure(run.state.voltages)
+    rec = run.record(run.phase, stokes, fidelity(stokes, run.target))
+    config = run.config
+    solve = len(run.steps) == 1 or rec.fidelity < min(config.coarse_threshold,
+                                                      run.steps[-2].fidelity)
+    if solve:
         run.state = CompensatorState(_solve_from(rec, run.target, run.curves))
-        return True
-    if rec.fidelity < config.fine_threshold:
+    elif rec.fidelity < config.fine_threshold:
         run.state = CompensatorState(_fine_correction(rec, run.target, run.curves))
-    return False
+    if not (solve and rec.fidelity < config.coarse_threshold):
+        run.phase = "fine"
+    return run
+
+
+def _met(run: CompensationRun) -> CompensationRun:
+    """End ``run`` met, the stack back at the setting that met the threshold."""
+    run.reason = "fine_threshold_met"
+    run.state = CompensatorState(run.steps[-1].voltages)
+    return run
 
 
 def coarse_step(
@@ -427,15 +442,10 @@ def coarse_step(
     threshold and strictly below the one before it, are solved from; any
     other reading below the fine threshold takes the Gauss-Newton step.
     The run stays coarse, spending ``max_coarse_steps``, only while each
-    reading is solved from below the coarse threshold.  Curves, target and
-    config are read from ``run``.
+    reading is solved from below the coarse threshold.  The reading is
+    recorded in the run's phase; curves, target and config come from ``run``.
     """
-    stokes = measure(run.state.voltages)
-    rec = run.record("coarse", stokes, fidelity(stokes, run.target))
-    solved = _correct(run)
-    if not solved or rec.fidelity >= run.config.coarse_threshold:
-        run.phase = "fine"
-    return run
+    return _step(run, measure)
 
 
 def fine_tune_step(
@@ -444,18 +454,14 @@ def fine_tune_step(
     config: LoopConfig,
 ) -> CompensationRun:
     """One fine cycle: measure, record, then correct from that reading by
-    the rule of :func:`coarse_step`, spending ``max_fine_steps``.  No-op,
-    apart from marking the run ``fine_threshold_met``, if the latest
-    reading already sits at or above the fine threshold.  Config is read
-    from ``run``.
+    the rule of :func:`coarse_step`, spending ``max_fine_steps``.  If the
+    latest reading already sits at or above the fine threshold, it instead
+    ends the run ``fine_threshold_met`` at that reading's setting, as
+    :func:`run_compensation` does.  Config is read from ``run``.
     """
     if run.current_fidelity >= run.config.fine_threshold:
-        run.reason = "fine_threshold_met"
-        return run
-    stokes = measure(run.state.voltages)
-    run.record("fine", stokes, fidelity(stokes, run.target))
-    _correct(run)
-    return run
+        return _met(run)
+    return _step(run, measure)
 
 
 def run_compensation(
@@ -470,30 +476,25 @@ def run_compensation(
     ``apparatus`` is any callable that accepts the tuple of drive
     voltages and returns the measured :class:`NormalizedStokes` — a
     virtual bench in tests, real hardware in the lab.  Each call is one
-    step.  Determinism: the same apparatus behavior, curves, target and
-    config reproduce the identical run transcript.  ``seed`` is accepted
-    for call compatibility and unused; the loop has no randomness of its
-    own.
+    step.  The threshold comes before the budget of the current phase: a
+    coarse phase that already cleared it ends the run met, even with no
+    fine budget.  Determinism: the same apparatus behavior, curves, target
+    and config reproduce the identical run transcript.  ``seed`` is
+    accepted for call compatibility and unused; the loop has no randomness
+    of its own.
     """
     if config is None:
         config = LoopConfig()
     run = CompensationRun.begin(curves, target, config, seed=seed)
-    while run.phase == "coarse":
-        if run.coarse_used >= config.max_coarse_steps:
-            run.reason = "budget_exhausted"
-            return run
-        coarse_step(run, apparatus, run.curves, target, config)
-    # The threshold comes before the budget: a coarse phase that already
-    # cleared it ends the run met, even with no fine budget.
     while run.current_fidelity < config.fine_threshold:
-        if run.fine_used >= config.max_fine_steps:
+        if run.phase == "coarse" and run.coarse_used < config.max_coarse_steps:
+            coarse_step(run, apparatus, run.curves, target, config)
+        elif run.phase == "fine" and run.fine_used < config.max_fine_steps:
+            fine_tune_step(run, apparatus, config)
+        else:
             run.reason = "budget_exhausted"
             return run
-        fine_tune_step(run, apparatus, config)
-    run.reason = "fine_threshold_met"
-    # The stack stays at the measured setting that met the threshold.
-    run.state = CompensatorState(run.steps[-1].voltages)
-    return run
+    return _met(run)
 
 
 def qber_opt(fid: float) -> float:

@@ -16,7 +16,9 @@ constant across the fold.  :func:`build_curve` then orients the
 result as a non-increasing curve (retardance drops as voltage rises in a
 nematic cell), shifts it into the physical branch whose minimum lies in
 the first wave, and fits it to fall strictly: every :class:`RetardanceCurve`
-does, so a voltage lookup is one ``np.interp``.
+does, so a voltage lookup is one ``np.interp``.  A sweep, a curve and a
+polarimeter scan check the column rules they share in one place,
+:func:`polcomp.stokes._sampled_columns`.
 
 The propagated retardance uncertainty uses the closed form
 
@@ -37,6 +39,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .stokes import _sampled_columns
 
 __all__ = [
     "CalibrationError",
@@ -75,7 +79,8 @@ class UnwrapAmbiguityError(ValueError):
 class CharacterizationSweep:
     """Voltage sweep of one LCVR: drive RMS voltage vs mean PD voltage.
 
-    A sweep equals only itself.
+    At least ``MIN_SWEEP_POINTS`` finite rows at strictly increasing drive
+    voltages, with non-negative SEMs.  A sweep equals only itself.
     """
 
     drive_voltages: np.ndarray
@@ -85,23 +90,8 @@ class CharacterizationSweep:
     background_sem: float = 0.0
 
     def __post_init__(self) -> None:
-        self.drive_voltages = np.asarray(self.drive_voltages, dtype=float).copy()
-        self.mean_pd_voltages = np.asarray(self.mean_pd_voltages, dtype=float).copy()
-        self.pd_voltage_sems = np.asarray(self.pd_voltage_sems, dtype=float).copy()
-        n = self.drive_voltages.size
-        if self.mean_pd_voltages.size != n or self.pd_voltage_sems.size != n:
-            raise ValueError("sweep columns must have equal length")
-        if n < MIN_SWEEP_POINTS:
-            raise ValueError(f"need at least {MIN_SWEEP_POINTS} sweep points, got {n}")
-        for name, arr in (
-            ("drive_voltages", self.drive_voltages),
-            ("mean_pd_voltages", self.mean_pd_voltages),
-            ("pd_voltage_sems", self.pd_voltage_sems),
-        ):
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be 1-D and finite")
-        if np.any(np.diff(self.drive_voltages) <= 0.0):
-            raise ValueError("drive voltages must be strictly increasing")
+        _sampled_columns(self, ("drive_voltages", "mean_pd_voltages", "pd_voltage_sems"),
+                         MIN_SWEEP_POINTS, finite=3)
         if np.any(self.pd_voltage_sems < 0.0):
             raise ValueError("pd_voltage_sems must be non-negative")
         if not math.isfinite(self.background_voltage):
@@ -117,11 +107,12 @@ class CharacterizationSweep:
 class RetardanceCurve:
     """Unwrapped retardance vs drive voltage for one cell.
 
-    The retardance falls strictly from knot to knot, as a nematic cell's
-    does; any other curve is refused with a ``ValueError`` naming the
-    first knot that does not fall.  ``retardance_errors`` holds NaN where
-    no finite error bar exists (clamped arccos arguments and the sweep
-    maximum).  ``fold_count`` is recorded by :func:`build_curve`; curves
+    At least two knots at strictly increasing, finite drive voltages.  The
+    retardance is finite and falls strictly from knot to knot, as a nematic
+    cell's does; any other curve is refused with a ``ValueError`` naming
+    the first knot that does not fall.  ``retardance_errors`` holds NaN
+    where no finite error bar exists (clamped arccos arguments and the
+    sweep maximum).  ``fold_count`` is recorded by :func:`build_curve`; curves
     constructed directly (e.g. synthetic ones) may leave it ``None``.  The
     three arrays are private read-only copies, so the lookup arrays a
     curve derives on its first lookup stay valid; new data makes a new
@@ -136,23 +127,7 @@ class RetardanceCurve:
     fold_count: int | None = None
 
     def __post_init__(self) -> None:
-        self.drive_voltages = np.asarray(self.drive_voltages, dtype=float).copy()
-        self.retardances = np.asarray(self.retardances, dtype=float).copy()
-        self.retardance_errors = np.asarray(self.retardance_errors, dtype=float).copy()
-        for name in ("drive_voltages", "retardances", "retardance_errors"):
-            if getattr(self, name).ndim != 1:
-                raise ValueError(f"{name} must be 1-D")
-        n = self.drive_voltages.size
-        if self.retardances.size != n or self.retardance_errors.size != n:
-            raise ValueError("curve columns must have equal length")
-        if n < 2:
-            raise ValueError("curve needs at least two points")
-        if not np.all(np.isfinite(self.drive_voltages)):
-            raise ValueError("drive voltages must be finite")
-        if not np.all(np.isfinite(self.retardances)):
-            raise ValueError("retardances must be finite")
-        if np.any(np.diff(self.drive_voltages) <= 0.0):
-            raise ValueError("drive voltages must be strictly increasing")
+        _sampled_columns(self, ("drive_voltages", "retardances", "retardance_errors"), 2, finite=2)
         r = self.retardances
         held = np.flatnonzero(r[1:] >= r[:-1])
         if held.size:

@@ -27,7 +27,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .stokes import NormalizedStokes, StokesVector, degree_of_polarization, normalize
+from .stokes import (
+    NormalizedStokes,
+    StokesVector,
+    _sampled_columns,
+    degree_of_polarization,
+    normalize,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .bench import NoiseModel
@@ -57,8 +63,9 @@ _SPAN_SLACK_STEPS = 1.25
 class PolarimeterScan:
     """A full rotation worth of samples plus its calibration constants.
 
-    ``angles`` are the *measured* mount angles in radians (monotonically
-    increasing, spanning at least one revolution minus one step);
+    ``angles`` are the *measured* mount angles in radians (at least
+    ``MIN_SAMPLES``, strictly increasing, spanning at least one revolution
+    minus one step), each with a finite voltage;
     ``offset_alpha`` is the known angle of the wave-plate fast axis when
     the mount reads zero, and ``background_voltage`` is the detector
     reading with the beam blocked.  Both are subtracted during analysis,
@@ -71,27 +78,11 @@ class PolarimeterScan:
     offset_alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        self.angles = np.asarray(self.angles, dtype=float).copy()
-        self.voltages = np.asarray(self.voltages, dtype=float).copy()
-        if self.angles.ndim != 1 or self.voltages.ndim != 1:
-            raise ValueError("angles and voltages must be 1-D")
-        if self.angles.size != self.voltages.size:
-            raise ValueError(
-                f"length mismatch: {self.angles.size} angles vs "
-                f"{self.voltages.size} voltages"
-            )
-        n = self.angles.size
-        if n < MIN_SAMPLES:
-            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-        if not (np.isfinite(self.angles).all() and np.isfinite(self.voltages).all()):
-            raise ValueError("scan contains non-finite values")
+        _sampled_columns(self, ("angles", "voltages"), MIN_SAMPLES, finite=2)
         if not math.isfinite(self.background_voltage) or not math.isfinite(self.offset_alpha):
             raise ValueError("background_voltage and offset_alpha must be finite")
-        # For finite doubles a[i + 1] - a[i] <= 0 exactly when a[i + 1] <= a[i].
-        if (self.angles[1:] <= self.angles[:-1]).any():
-            raise ValueError("angles must be strictly increasing")
         span = float(self.angles[-1] - self.angles[0])
-        mean_step = span / (n - 1)
+        mean_step = span / (self.angles.size - 1)
         if span < 2.0 * math.pi - _SPAN_SLACK_STEPS * mean_step:
             raise ValueError(
                 f"scan spans {span:.6f} rad; a full revolution "
@@ -140,13 +131,6 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, tag]))
 
 
-def _scan_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    """``seed`` itself if a generator, else the scan's tagged stream of the integer."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return _stream(seed, _TAG_SCAN)
-
-
 def ideal_intensity(s: StokesVector, phi: float) -> float:
     """Noise-free detected intensity behind the QWP + PBS at angle ``phi``.
 
@@ -167,7 +151,7 @@ def simulate_scan(
     step: float,
     alpha: float = 0.0,
     noise: "NoiseModel | None" = None,
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
 ) -> PolarimeterScan:
     """Generate a synthetic scan of ``s_in`` with an optional noise model.
 
@@ -178,13 +162,10 @@ def simulate_scan(
     single per-scan draw from ``N(0, angle_jitter_sigma)`` standing in for
     the slow mount-zero wander seen between re-homings of a real stage.
     With ``noise=None`` (or an all-zero model) the scan is exact and the
-    seed is irrelevant.
-
-    ``seed`` is an integer, from which the scan derives a generator of
-    its own (tagged, so no other consumer of the same integer shares its
-    bits), or a ``numpy.random.Generator`` that the scan draws from
-    directly: the detector noise, then the drift, the same count of
-    draws for every state.
+    seed is irrelevant.  Otherwise the scan draws from its own generator
+    of ``seed`` (tagged, so no other consumer of the same integer shares
+    its bits): the detector noise, then the drift, the same count of draws
+    for every state.
     """
     s_in.validate()
     n_samples = int(n_samples)
@@ -204,7 +185,7 @@ def simulate_scan(
     background = 0.0
     drift = 0.0
     if noise is not None:
-        rng = _scan_rng(seed)
+        rng = _stream(seed, _TAG_SCAN)
         background = float(noise.background_v)
         volts += background
         if noise.pd_sigma > 0.0:

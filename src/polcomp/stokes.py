@@ -152,6 +152,30 @@ def _check_angle(value: float, name: str) -> float:
     return value
 
 
+def _sampled_columns(record, names: tuple[str, ...], min_rows: int, finite: int) -> None:
+    """Replace each named column of ``record`` by a private float copy,
+    checked by the rules every sampled record shares: each is 1-D, all have
+    one length of at least ``min_rows``, the first ``finite`` are finite and
+    the first rises strictly.  Each ``ValueError`` names the failing column."""
+    for name in names:
+        column = np.asarray(getattr(record, name), dtype=float).copy()
+        if column.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {column.shape}")
+        setattr(record, name, column)
+    sizes = [getattr(record, name).size for name in names]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"{', '.join(names)} must have equal length, got {sizes}")
+    if sizes[0] < min_rows:
+        raise ValueError(f"{', '.join(names)} need at least {min_rows} rows, got {sizes[0]}")
+    for name in names[:finite]:
+        if not np.isfinite(getattr(record, name)).all():
+            raise ValueError(f"{name} must be finite")
+    # For finite doubles a[i + 1] - a[i] <= 0 exactly when a[i + 1] <= a[i].
+    first = getattr(record, names[0])
+    if (first[1:] <= first[:-1]).any():
+        raise ValueError(f"{names[0]} must be strictly increasing")
+
+
 def mueller_qwp(phi: float) -> MuellerMatrix:
     """Mueller matrix of an ideal quarter-wave plate.
 
@@ -355,18 +379,11 @@ def fidelity(a: NormalizedStokes, b: NormalizedStokes) -> float:
     """Overlap ``(1 + a.b) / 2`` between two fully polarized states.
 
     Equals 1 for identical states and 0 for antipodal (orthogonal) ones.
-    Inputs must be unit-norm within ``UNIT_NORM_TOL``; the result is
+    Every :class:`NormalizedStokes` is unit-norm within ``UNIT_NORM_TOL``
+    from its construction, so no norm is checked here; the result is
     clamped to [0, 1] to absorb last-ulp rounding.
     """
-    a1, a2, a3 = a.u1, a.u2, a.u3
-    b1, b2, b3 = b.u1, b.u2, b.u3
-    for name, norm in (
-        ("a", math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)),
-        ("b", math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)),
-    ):
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"{name} is not normalized: |{name}| = {norm!r}")
-    f = 0.5 * (1.0 + float(a1 * b1 + a2 * b2 + a3 * b3))
+    f = 0.5 * (1.0 + float(a.u1 * b.u1 + a.u2 * b.u2 + a.u3 * b.u3))
     return min(1.0, max(0.0, f))
 
 

@@ -162,7 +162,7 @@ def test_virtual_measure_matches_hand_composed_chain():
         voltages = [float(rng.uniform(c.drive_voltages[0], c.drive_voltages[-1]))
                     for c in curves]
         got = virtual_measure(
-            dist, voltages, curves, CARDINAL_STOKES["H"], quiet, seed=seed
+            dist, voltages, curves, CARDINAL_STOKES["H"], quiet, np.random.default_rng(seed)
         )
         want = _expected_state(dist, voltages, curves, CARDINAL_STOKES["H"])
         np.testing.assert_allclose(
@@ -178,8 +178,10 @@ def test_virtual_measure_quantizes_voltages():
     quiet = NoiseModel.none()
     requested = [1.26, 2.49, 3.74, 5.01]
     rounded = [1.5, 2.5, 3.5, 5.0]
-    a = virtual_measure(dist, requested, curves, CARDINAL_STOKES["H"], coarse, seed=1)
-    b = virtual_measure(dist, rounded, curves, CARDINAL_STOKES["H"], quiet, seed=1)
+    a = virtual_measure(dist, requested, curves, CARDINAL_STOKES["H"], coarse,
+                        np.random.default_rng(1))
+    b = virtual_measure(dist, rounded, curves, CARDINAL_STOKES["H"], quiet,
+                        np.random.default_rng(1))
     np.testing.assert_allclose([a.u1, a.u2, a.u3], [b.u1, b.u2, b.u3], atol=1e-12)
 
 
@@ -189,12 +191,12 @@ def test_curve_bias_is_frozen_per_disturbance():
                        voltage_quantum_v=0.0, retardance_curve_error=0.02)
     dist = random_disturbance(5)
     v = [2.0, 2.0, 2.0, 2.0]
-    a = virtual_measure(dist, v, curves, CARDINAL_STOKES["H"], noise, seed=1)
-    b = virtual_measure(dist, v, curves, CARDINAL_STOKES["H"], noise, seed=1)
+    a = virtual_measure(dist, v, curves, CARDINAL_STOKES["H"], noise, np.random.default_rng(1))
+    b = virtual_measure(dist, v, curves, CARDINAL_STOKES["H"], noise, np.random.default_rng(1))
     assert (a.u1, a.u2, a.u3) == (b.u1, b.u2, b.u3)
     # A different disturbance draws a different bias set.
     c = virtual_measure(random_disturbance(6), v, curves,
-                        CARDINAL_STOKES["H"], noise, seed=1)
+                        CARDINAL_STOKES["H"], noise, np.random.default_rng(1))
     assert (a.u1, a.u2, a.u3) != (c.u1, c.u2, c.u3)
 
 
@@ -227,10 +229,10 @@ def test_virtual_measure_validates_cell_count():
     curves = synthetic_curve_set(4)
     with pytest.raises(ValueError):
         virtual_measure(random_disturbance(1), [1.0, 2.0], curves,
-                        CARDINAL_STOKES["H"], NoiseModel.none())
+                        CARDINAL_STOKES["H"], NoiseModel.none(), np.random.default_rng(0))
     with pytest.raises(ValueError):
         virtual_measure(random_disturbance(1), [1.0] * 5, curves[:1] * 5,
-                        CARDINAL_STOKES["H"], NoiseModel.none())
+                        CARDINAL_STOKES["H"], NoiseModel.none(), np.random.default_rng(0))
 
 
 def test_apparatus_calls_are_independent_but_replayable():

@@ -403,6 +403,29 @@ def test_fine_tune_noop_when_already_met():
     assert run.total_steps() == 1
 
 
+def test_a_run_met_by_the_step_api_stays_at_the_measured_setting():
+    # A probe above the fine threshold is still solved from, which moves the
+    # stack; the fine step that then ends the run met must put the stack
+    # back at the setting it measured, as run_compensation does.
+    target = cardinal_target("H")
+    config = LoopConfig()
+    curves = synthetic_curve_set(4)
+    u1 = 2.0 * 0.9995 - 1.0
+    good = NormalizedStokes(u1, math.sqrt(1.0 - u1 * u1), 0.0)
+    run = CompensationRun.begin(curves, target, config)
+    coarse_step(run, lambda _v: good, curves, target, config)
+    assert run.state.voltages != run.steps[-1].voltages
+
+    def must_not_measure(_):
+        raise AssertionError("no measurement expected")
+
+    fine_tune_step(run, must_not_measure, config)
+    assert run.reason == "fine_threshold_met"
+    assert run.state.voltages == run.steps[-1].voltages
+    full = run_compensation(lambda _v: good, curves, target, config)
+    assert (full.steps, full.state, full.reason) == (run.steps, run.state, run.reason)
+
+
 def test_current_fidelity_is_the_latest_reading():
     curves = synthetic_curve_set(4)
     run = CompensationRun.begin(curves, cardinal_target("H"), LoopConfig())

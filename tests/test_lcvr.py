@@ -2,6 +2,7 @@
 curve building against the analytic profile, error bars, lookups."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -376,6 +377,35 @@ def test_array_records_compare_by_identity(kind):
     assert a == a
     assert a != b
     assert len({a, b}) == 2
+
+
+# Each record's sampled columns, in order: the first must rise strictly.
+_COLUMNS = {
+    "curve": ("drive_voltages", "retardances", "retardance_errors"),
+    "sweep": ("drive_voltages", "mean_pd_voltages", "pd_voltage_sems"),
+    "scan": ("angles", "voltages"),
+}
+
+
+@pytest.mark.parametrize("kind, column, fault", [
+    *((kind, column, fault) for kind, columns in _COLUMNS.items() for column in columns
+      for fault in ("2-D", "NaN", "short")
+      if (kind, column, fault) != ("curve", "retardance_errors", "NaN")),  # a missing bar
+    *((kind, columns[0], "reversed") for kind, columns in _COLUMNS.items()),
+])
+def test_shared_column_rules_name_the_column(kind, column, fault):
+    # Scans, sweeps and curves refuse a bad column by one set of rules,
+    # and each refusal names the column (a short one, the equal length).
+    record = _RECORDS[kind]()
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    bad = np.array(values[column])
+    if fault == "2-D":
+        bad = np.stack([bad, bad])
+    elif fault == "NaN":
+        bad[bad.size // 2] = math.nan
+    values[column] = {"short": bad[:-1], "reversed": bad[::-1]}.get(fault, bad)
+    with pytest.raises(ValueError, match="equal length" if fault == "short" else f"^{column} "):
+        type(record)(**values)
 
 
 def test_exact_half_wave_voltage_from_bisection():

@@ -157,8 +157,8 @@ def test_drawn_sums_follow_the_sample_wise_distribution():
 
     drawn = np.array([sums(_drawn_coefficients(s, N310, noise, rng)) for _ in range(m)])
     scanned = np.array([
-        sums(extract_coefficients(simulate_scan(s, N310, STEP310, noise=noise, seed=rng)))
-        for _ in range(m)
+        sums(extract_coefficients(simulate_scan(s, N310, STEP310, noise=noise, seed=k)))
+        for k in range(m)
     ])
     sd = 2.0 * noise.pd_sigma / math.sqrt(N310) * np.array([1.0, *[math.sqrt(2.0)] * 3])
     for sample in (drawn, scanned):

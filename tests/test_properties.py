@@ -50,9 +50,10 @@ from polcomp.lcvr import (
     voltage_for_retardance,
 )
 from polcomp.polarimetry import (
+    _TAG_SCAN,
     PolarimeterScan,
     _drawn_coefficients,
-    _scan_rng,
+    _stream,
     extract_coefficients,
     simulate_scan,
 )
@@ -529,7 +530,7 @@ def test_drawn_sums_of_a_quiet_reading_are_the_scan_sums(u, n, background, drift
     scan = simulate_scan(s, n, 2.0 * math.pi / n, noise=noise, seed=seed)
     assume(abs(scan.angles[0]) <= 1.0)
     c = extract_coefficients(scan)
-    drawn = _drawn_coefficients(s, n, noise, _scan_rng(seed))
+    drawn = _drawn_coefficients(s, n, noise, _stream(seed, _TAG_SCAN))
     np.testing.assert_allclose(
         (drawn.a0, drawn.b0, drawn.c0, drawn.d0), (c.a0, c.b0, c.c0, c.d0), rtol=0, atol=1e-13
     )
